@@ -3,7 +3,7 @@
 Covers the non-neural stages of a multi-model segmentation pipeline:
 NIfTI-1 volume I/O, brain-box preprocessing and seeded augmentation,
 label/region algebra, ensemble fusion (probability averaging, majority
-vote, per-region binary STAPLE), enhancing-tumor post-processing, and
+vote, per-region mean and binary STAPLE), enhancing-tumor post-processing, and
 DSC/HD95 evaluation with aggregate reporting and method ranking.
 """
 
@@ -23,6 +23,7 @@ from .errors import (
     NotNifti,
     RegionMismatch,
     TooFewRaters,
+    TooManyRaters,
     TruncatedFile,
     UnreadableVolume,
     UnsupportedDatatype,
@@ -35,6 +36,7 @@ from .fusion import (
     average_probabilities,
     ensemble_pipeline,
     majority_vote,
+    mean_regions,
     staple_binary,
     staple_regions,
 )

@@ -12,15 +12,8 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .errors import GbmsegError, NoMatchedCases
-from .fusion import (
-    StapleConfig,
-    average_probabilities,
-    majority_vote,
-    staple_regions,
-)
+from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     _case_stem,
     _volume_files,
@@ -45,14 +38,7 @@ from .preprocess import (
     sample_augmentation,
     zscore_normalize,
 )
-from .volume import (
-    REGIONS,
-    LabelVolume,
-    ProbabilityVolume,
-    binarize,
-    compose_regions,
-    decompose_regions,
-)
+from .volume import LabelVolume
 
 logger = logging.getLogger(__name__)
 
@@ -107,19 +93,6 @@ def _cmd_augment(args) -> None:
     }, sort_keys=True))
 
 
-def _mean_fuse(raters: list[LabelVolume]) -> LabelVolume:
-    """Average the raters' region masks as 0/1 probabilities, threshold at 0.5."""
-    triples = [compose_regions(r) for r in raters]
-    masks = []
-    for idx, region in enumerate(REGIONS):
-        probs = [
-            ProbabilityVolume(t[idx].member.astype(np.float64), region, r.spacing, r.affine)
-            for t, r in zip(triples, raters)
-        ]
-        masks.append(binarize(average_probabilities(probs), 0.5))
-    return decompose_regions(*masks)
-
-
 def _cmd_fuse(args) -> None:
     method_dirs = [Path(d) for d in args.methods]
     out_dir = Path(args.out)
@@ -139,7 +112,7 @@ def _cmd_fuse(args) -> None:
         if args.method == "vote":
             fused = majority_vote(raters)
         elif args.method == "mean":
-            fused = _mean_fuse(raters)
+            fused = mean_regions(raters)
         else:
             fused = staple_regions(raters, staple_cfg)
         fused = et_threshold_relabel(fused, post_cfg)

@@ -85,6 +85,10 @@ class DegenerateInput(GbmsegError):
     """Every rater marks every voxel identically; classes cannot be separated."""
 
 
+class TooManyRaters(GbmsegError):
+    """STAPLE packs one decision bit per rater into a 64-bit pattern code."""
+
+
 # --- Dataset harness ---------------------------------------------------
 
 

@@ -1,21 +1,29 @@
 """Ensemble fusion of multiple models' segmentations.
 
-Three fusion routes are provided: voxel-wise probability averaging (used
-within one model's cross-validation folds), plain majority voting, and
-binary STAPLE — an expectation-maximization estimate of the latent true
-mask together with each rater's sensitivity/specificity.  Multi-label
-fusion runs STAPLE independently per evaluated region and recombines the
-consensus masks through the deterministic label priority.
+Four fusion routes are provided: voxel-wise probability averaging (used
+within one model's cross-validation folds), plain majority voting, the
+per-region mean of hard masks, and binary STAPLE — an
+expectation-maximization estimate of the latent true mask together with
+each rater's sensitivity/specificity.  Multi-label fusion runs the mean or
+STAPLE independently per evaluated region and recombines the consensus
+masks through the deterministic label priority.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
-from .errors import DegenerateInput, EmptyInput, RegionMismatch, TooFewRaters
+from .errors import (
+    DegenerateInput,
+    EmptyInput,
+    RegionMismatch,
+    TooFewRaters,
+    TooManyRaters,
+)
 from .postprocess import PostprocessConfig, et_threshold_relabel
 from .volume import (
     BRATS_LABELS,
@@ -30,6 +38,9 @@ from .volume import (
 )
 
 FOLD_PROBABILITY_THRESHOLD = 0.5
+MAX_STAPLE_RATERS = 64
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -79,13 +90,19 @@ class StapleConfig:
 @dataclass(frozen=True)
 class StapleResult:
     """EM output: consensus weights, per-rater performance, and the
-    log-likelihood trace (non-decreasing, one entry per iteration)."""
+    log-likelihood trace (non-decreasing, one entry per iteration).
+
+    ``final_delta`` is the mean absolute weight change of the last
+    iteration; ``converged`` is whether it fell below ``tol`` (False means
+    EM stopped at ``max_iter``)."""
 
     weights: ProbabilityVolume
     performances: tuple[RaterPerformance, ...]
     iterations: int
     loglik_trace: tuple[float, ...]
     consensus: RegionMask
+    converged: bool
+    final_delta: float
 
 
 def _require_same_region(volumes) -> None:
@@ -119,6 +136,40 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     return LabelVolume(winner, raters[0].spacing, raters[0].affine)
 
 
+def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
+    """Fuse label volumes by the per-region mean of the raters' masks.
+
+    A region keeps a voxel where k of the R raters mark it and 2·k >= R.
+    This equals thresholding the float mean of the 0/1 masks at 0.5,
+    because k/R is correctly rounded.  The three masks are recombined
+    through the ET > TC > WT label priority.
+    """
+    if not raters:
+        raise EmptyInput("no raters to fuse")
+    require_same_geometry(*raters)
+    per_rater = [compose_regions(r) for r in raters]
+    needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
+    consensus: list[RegionMask] = []
+    for region_idx in range(len(REGIONS)):
+        first = per_rater[0][region_idx]
+        marked = np.zeros(first.dims, dtype=np.min_scalar_type(len(raters)))
+        for triple in per_rater:
+            marked += triple[region_idx].member
+        consensus.append(RegionMask(marked >= needed, first.region, first.spacing, first.affine))
+    return decompose_regions(*consensus)
+
+
+def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
+    """Sum along ``axis`` after sorting along it.
+
+    The result depends only on the multiset of terms.  Permuting the
+    raters permutes both the per-rater terms of a pattern and the order of
+    the pattern codes, so every STAPLE sum taken this way is bit-for-bit
+    independent of rater order.
+    """
+    return np.sort(terms, axis=axis).sum(axis=axis)
+
+
 def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) -> StapleResult:
     """Binary STAPLE: EM over the raters' hard decisions.
 
@@ -127,58 +178,89 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     M-step: each rater's sensitivity becomes the weight mass it marked
     positive over the total weight mass; specificity analogously on the
     complement.  Iteration stops when the mean absolute weight change
-    drops below ``cfg.tol`` or after ``cfg.max_iter`` rounds.
+    drops below ``cfg.tol`` or after ``cfg.max_iter`` rounds; stopping at
+    ``max_iter`` without converging is logged as a warning.
+
+    Pattern form: under every prior mode a voxel's weight depends only on
+    its R-bit decision pattern (bit j set when rater j marks it), so each
+    voxel's decisions are packed into one integer code and EM runs over
+    the P present patterns, every sum weighted by the pattern's voxel
+    count.  Per iteration the work and memory are O(R·P) with
+    P <= min(2^R, N); the only length-N arrays are the code volume, the
+    final gather index and the returned weights.  Codes are at most 64
+    bits wide, so R > 64 raises :class:`TooManyRaters`.
     """
-    if len(raters) < 2:
-        raise TooFewRaters(f"STAPLE needs >= 2 raters, got {len(raters)}")
+    n_raters = len(raters)
+    if n_raters < 2:
+        raise TooFewRaters(f"STAPLE needs >= 2 raters, got {n_raters}")
+    if n_raters > MAX_STAPLE_RATERS:
+        raise TooManyRaters(f"STAPLE supports at most {MAX_STAPLE_RATERS} raters, got {n_raters}")
     require_same_geometry(*raters)
     _require_same_region(raters)
 
-    decisions = np.stack([r.member.ravel(order="F") for r in raters])  # (R, N)
-    if decisions.all() or not decisions.any():
+    all_marked = (1 << n_raters) - 1
+    code_type = np.min_scalar_type(all_marked)
+    codes = np.zeros(raters[0].dims, dtype=code_type)
+    for j, rater in enumerate(raters):
+        codes |= rater.member.astype(code_type) << code_type.type(j)
+    patterns, counts = np.unique(codes, return_counts=True)
+    if len(patterns) == 1 and int(patterns[0]) in (0, all_marked):
         raise DegenerateInput("every rater marks every voxel identically")
-    d = decisions.astype(np.float64)
+    shifts = np.arange(n_raters, dtype=code_type)[:, None]
+    marks = (patterns[None, :] >> shifts) & 1 == 1  # (R, P)
+    n_voxels = codes.size
 
+    positives = marks.sum(axis=0)
     if cfg.prior == "prevalence":
-        prior = np.full(d.shape[1], d.mean())
+        prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
     elif cfg.prior == "voxelwise":
-        prior = d.mean(axis=0)
+        prior = positives / n_raters
     else:
-        prior = np.full(d.shape[1], float(cfg.prior))
+        prior = np.full(len(patterns), float(cfg.prior))
     with np.errstate(divide="ignore"):  # prior of exactly 0/1 is meaningful
         log_prior = np.log(prior)
         log_not_prior = np.log1p(-prior)
 
     lo, hi = cfg.clamp, 1.0 - cfg.clamp
-    sens = np.full(len(raters), hi)
-    spec = np.full(len(raters), hi)
+    sens = np.full(n_raters, hi)
+    spec = np.full(n_raters, hi)
 
     weights = prior
     trace: list[float] = []
     iterations = 0
+    delta = np.inf
     for _ in range(cfg.max_iter):
         iterations += 1
-        # E-step, in log space: log a_i (foreground) vs log b_i (background)
-        log_a = log_prior + d.T @ np.log(sens) + (1.0 - d).T @ np.log1p(-sens)
-        log_b = log_not_prior + d.T @ np.log1p(-spec) + (1.0 - d).T @ np.log(spec)
+        # E-step, in log space: log a_p (foreground) vs log b_p (background)
+        log_a = log_prior + _ordered_sum(
+            np.where(marks, np.log(sens)[:, None], np.log1p(-sens)[:, None]), axis=0)
+        log_b = log_not_prior + _ordered_sum(
+            np.where(marks, np.log1p(-spec)[:, None], np.log(spec)[:, None]), axis=0)
         new_weights = expit(log_a - log_b)
-        trace.append(float(np.logaddexp(log_a, log_b).sum()))
+        trace.append(float(_ordered_sum(counts * np.logaddexp(log_a, log_b))))
 
         # M-step; clamping is the constrained maximizer because the
         # objective is concave in each rate separately.
-        mass = new_weights.sum()
-        comass = (1.0 - new_weights).sum()
-        sens = np.clip((d @ new_weights) / mass, lo, hi)
-        spec = np.clip(((1.0 - d) @ (1.0 - new_weights)) / comass, lo, hi)
+        fg_mass = counts * new_weights
+        bg_mass = counts * (1.0 - new_weights)
+        sens = np.clip(_ordered_sum(np.where(marks, fg_mass, 0.0)) / _ordered_sum(fg_mass), lo, hi)
+        spec = np.clip(_ordered_sum(np.where(marks, 0.0, bg_mass)) / _ordered_sum(bg_mass), lo, hi)
 
-        delta = float(np.abs(new_weights - weights).mean())
+        delta = float(_ordered_sum(counts * np.abs(new_weights - weights))) / n_voxels
         weights = new_weights
         if delta < cfg.tol:
             break
+    converged = delta < cfg.tol
+    if not converged:
+        logger.warning(
+            "STAPLE on %s stopped at max_iter=%d without converging "
+            "(mean weight change %.3g, tol %.3g)",
+            raters[0].region.value, cfg.max_iter, delta, cfg.tol,
+        )
 
     first = raters[0]
     weight_volume = ProbabilityVolume(
-        weights.reshape(first.dims, order="F"), first.region, first.spacing, first.affine
+        weights[np.searchsorted(patterns, codes)], first.region, first.spacing, first.affine
     )
     return StapleResult(
         weights=weight_volume,
@@ -186,6 +268,8 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         iterations=iterations,
         loglik_trace=tuple(trace),
         consensus=binarize(weight_volume, 0.5),
+        converged=converged,
+        final_delta=delta,
     )
 
 

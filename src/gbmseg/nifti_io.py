@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -183,7 +184,9 @@ def _read_bytes(path: Path) -> bytes:
                 with gzip.open(fh, "rb") as gz:
                     return gz.read()
             return fh.read()
-    except OSError as err:
+    except EOFError as err:  # gzip stream cut off before its end marker
+        raise TruncatedFile(f"{path}: compressed data ends early: {err}") from err
+    except (OSError, zlib.error) as err:  # BadGzipFile is an OSError
         raise IoFailure(f"cannot read {path}: {err}") from err
 
 

@@ -124,6 +124,26 @@ class TestFuse:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_truncated_gzip_input_is_data_error(self, phantom_dirs, tmp_path, capsys):
+        method_dirs, _ = phantom_dirs
+        victim = method_dirs[1] / "case_001.nii.gz"
+        blob = victim.read_bytes()
+        victim.write_bytes(blob[: len(blob) // 2])
+        code = main(["fuse", *map(str, method_dirs), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+
+    def test_unconverged_staple_warns_without_touching_stdout(self, phantom_dirs, tmp_path,
+                                                              capsys, caplog):
+        method_dirs, _ = phantom_dirs
+        out = tmp_path / "x"
+        code = main(["fuse", *map(str, method_dirs), "--out", str(out), "--staple-max-iter", "1"])
+        assert code == 0
+        assert capsys.readouterr().out == f"fused 2 case(s) with method=staple to {out}\n"
+        warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings and all("without converging" in w for w in warnings)
+
     def test_deterministic_outputs(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs
         out1, out2 = tmp_path / "f1", tmp_path / "f2"

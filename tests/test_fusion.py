@@ -1,5 +1,10 @@
+import logging
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gbmseg.errors import (
     DegenerateInput,
@@ -7,22 +12,26 @@ from gbmseg.errors import (
     GeometryMismatch,
     RegionMismatch,
     TooFewRaters,
+    TooManyRaters,
 )
 from gbmseg.fusion import (
     StapleConfig,
     average_probabilities,
     ensemble_pipeline,
     majority_vote,
+    mean_regions,
     staple_binary,
     staple_regions,
 )
 from gbmseg.postprocess import PostprocessConfig
 from gbmseg.volume import (
+    REGIONS,
     LabelVolume,
     ProbabilityVolume,
     Region,
     RegionMask,
     compose_regions,
+    decompose_regions,
 )
 
 from oracles import reference_staple
@@ -197,6 +206,119 @@ class TestStapleBinary:
         result = staple_binary(raters)
         assert np.array_equal(result.consensus.member, result.weights.prob >= 0.5)
 
+    def test_reports_convergence(self, caplog):
+        rng = np.random.default_rng(13)
+        truth = ball((10, 10, 10), 3.5)
+        raters = [mask(noisy_mask(truth, rng, 0.1, 0.05)) for _ in range(3)]
+        cfg = StapleConfig()
+        with caplog.at_level(logging.WARNING, logger="gbmseg.fusion"):
+            result = staple_binary(raters, cfg)
+        assert result.converged
+        assert result.final_delta < cfg.tol
+        assert result.iterations < cfg.max_iter
+        assert not caplog.records
+
+    def test_warns_when_max_iter_reached(self, caplog):
+        rng = np.random.default_rng(13)
+        truth = ball((10, 10, 10), 3.5)
+        raters = [mask(noisy_mask(truth, rng, 0.1, 0.05), Region.TC) for _ in range(3)]
+        cfg = StapleConfig(max_iter=1)
+        with caplog.at_level(logging.WARNING, logger="gbmseg.fusion"):
+            result = staple_binary(raters, cfg)
+        assert not result.converged
+        assert result.final_delta >= cfg.tol
+        assert result.iterations == 1
+        assert len(caplog.records) == 1
+        assert "TC" in caplog.records[0].getMessage()
+        assert "max_iter=1" in caplog.records[0].getMessage()
+
+    def test_too_many_raters(self):
+        m = ball((4, 4, 4), 1.5)
+        with pytest.raises(TooManyRaters):
+            staple_binary([mask(m)] * 64 + [mask(~m)])
+
+    def test_sixty_four_raters_use_the_top_code_bit(self):
+        rng = np.random.default_rng(14)
+        truth = ball((8, 8, 8), 3.0)
+        raters = [mask(noisy_mask(truth, rng, 0.1, 0.05)) for _ in range(63)]
+        raters.append(mask(np.zeros_like(truth)))  # rater 63: bit 63 never set
+        result = staple_binary(raters)
+        assert np.array_equal(result.consensus.member, truth)
+        assert result.performances[-1].sensitivity == pytest.approx(StapleConfig().clamp)
+        assert result.performances[-1].specificity == pytest.approx(1.0 - StapleConfig().clamp)
+
+
+def _prior_for(decisions: np.ndarray, prior_mode) -> np.ndarray:
+    """The per-voxel prior each StapleConfig.prior mode defines, for reference_staple."""
+    if prior_mode == "prevalence":
+        return np.full(decisions.shape[1], decisions.mean())
+    if prior_mode == "voxelwise":
+        return decisions.mean(axis=0)
+    return np.full(decisions.shape[1], prior_mode)
+
+
+def _decisions(members: np.ndarray) -> np.ndarray:
+    return np.stack([m.ravel(order="F") for m in members])
+
+
+def _reference_is_defined(members: np.ndarray, prior_mode, max_iter: int) -> bool:
+    """False where reference_staple's M-step divides 0 by 0 (every voxel's
+    weight rounds to exactly 1, or exactly 0), so there is nothing to compare."""
+    decisions = _decisions(members)
+    with np.errstate(invalid="ignore"):
+        ref = reference_staple(decisions, max_iter, _prior_for(decisions, prior_mode))
+    return all(np.isfinite(v).all() for v in ref)
+
+
+def _assert_matches_reference(members: np.ndarray, prior_mode, max_iter: int) -> None:
+    """Run staple_binary on (R, x, y, z) masks and compare with reference_staple.
+
+    tol=1e-15 pins the iteration count in practice; the reference runs
+    exactly as many iterations as staple_binary reports.
+    """
+    decisions = _decisions(members)
+    prior = _prior_for(decisions, prior_mode)
+    raters = [mask(m) for m in members]
+    result = staple_binary(raters, StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
+    ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=result.iterations, prior=prior)
+    assert np.allclose(result.weights.prob.ravel(order="F"), ref_w, rtol=0.0, atol=1e-9)
+    assert np.allclose([p.sensitivity for p in result.performances], ref_sens, rtol=0.0, atol=1e-9)
+    assert np.allclose([p.specificity for p in result.performances], ref_spec, rtol=0.0, atol=1e-9)
+
+
+class TestStaplePatternsMatchReference:
+    @given(
+        data=st.data(),
+        n_raters=st.integers(min_value=2, max_value=6),
+        dims=st.tuples(*[st.integers(min_value=1, max_value=5)] * 3),
+        prior_mode=st.one_of(
+            st.sampled_from(["prevalence", "voxelwise"]),
+            st.floats(min_value=0.05, max_value=0.95),
+        ),
+        max_iter=st.integers(min_value=1, max_value=10),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_random_small_masks(self, data, n_raters, dims, prior_mode, max_iter):
+        members = data.draw(arrays(np.bool_, (n_raters,) + dims))
+        assume(members.any() and not members.all())
+        assume(_reference_is_defined(members, prior_mode, max_iter))
+        _assert_matches_reference(members, prior_mode, max_iter)
+
+    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
+    def test_every_pattern_of_sixteen_raters(self, prior_mode):
+        # 2^16 voxels carry each 16-bit decision pattern once; 2^14 more
+        # follow a noisy truth so the raters' rates are not all equal.
+        rng = np.random.default_rng(15)
+        n_raters = 16
+        enumerated = rng.permutation(1 << n_raters)
+        every = (enumerated[None, :] >> np.arange(n_raters)[:, None]) & 1 == 1
+        truth = rng.random(1 << 14) < 0.3
+        miss = rng.uniform(0.02, 0.3, size=(n_raters, 1))
+        noisy = np.where(truth, rng.random((n_raters, truth.size)) >= miss,
+                         rng.random((n_raters, truth.size)) < miss / 3)
+        members = np.concatenate([every, noisy], axis=1).reshape(n_raters, 16, 64, 80)
+        _assert_matches_reference(members, prior_mode, max_iter=6)
+
 
 class TestStapleRegions:
     def test_unanimous_methods_return_their_prediction(self):
@@ -241,6 +363,39 @@ class TestStapleRegions:
     def test_too_few_methods(self):
         with pytest.raises(TooFewRaters):
             staple_regions([nested_label_phantom()])
+
+
+def float_mean_fuse(raters: list[LabelVolume]) -> LabelVolume:
+    """Reference mean fusion: float mean of the 0/1 region masks >= 0.5."""
+    triples = [compose_regions(r) for r in raters]
+    masks = []
+    for idx, region in enumerate(REGIONS):
+        mean = np.mean([t[idx].member.astype(np.float64) for t in triples], axis=0)
+        masks.append(RegionMask(mean >= 0.5, region))
+    return decompose_regions(*masks)
+
+
+class TestMeanRegions:
+    def test_half_the_raters_keep_a_region(self):
+        vols = [LabelVolume(np.array([4, 2], np.uint8).reshape(2, 1, 1)),
+                LabelVolume(np.array([0, 0], np.uint8).reshape(2, 1, 1))]
+        assert mean_regions(vols).labels.ravel().tolist() == [4, 2]
+
+    @pytest.mark.parametrize("n_raters", [1, 2, 3, 4, 5, 7])
+    def test_matches_float_mean_threshold(self, n_raters):
+        rng = np.random.default_rng(16 + n_raters)
+        truth = nested_label_phantom(dims=(16, 16, 16), wt_radius=6, tc_radius=4, et_radius=2.5)
+        raters = [noisy_rater_labels(truth, rng, miss=0.3, add=0.05) for _ in range(n_raters)]
+        assert np.array_equal(mean_regions(raters).labels, float_mean_fuse(raters).labels)
+
+    def test_empty_input(self):
+        with pytest.raises(EmptyInput):
+            mean_regions([])
+
+    def test_geometry_mismatch(self):
+        with pytest.raises(GeometryMismatch):
+            mean_regions([LabelVolume(np.zeros((2, 2, 2), np.uint8)),
+                          LabelVolume(np.zeros((3, 2, 2), np.uint8))])
 
 
 def region_triple(labels: LabelVolume, flip_rng=None, noise=0.0):

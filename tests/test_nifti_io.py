@@ -15,6 +15,7 @@ import pytest
 from gbmseg.errors import (
     DimensionError,
     DimensionMismatch,
+    IoFailure,
     NotNifti,
     TruncatedFile,
     UnsupportedDatatype,
@@ -111,6 +112,25 @@ class TestReadVolume:
         data = np.zeros(7, dtype=np.float32)  # header says 8 voxels
         path.write_bytes(fixture_header() + b"\x00" * 4 + data.tobytes())
         with pytest.raises(TruncatedFile):
+            read_volume(path)
+
+    def test_truncated_gzip_stream(self, tmp_path):
+        data = np.arange(64, dtype=np.float32).reshape((4, 4, 4), order="F")
+        path = fixture_file(tmp_path, "half.nii.gz", fixture_header(dims=(4, 4, 4)), data,
+                            compress=True)
+        blob = path.read_bytes()
+        path.write_bytes(blob[: len(blob) // 2])
+        with pytest.raises(TruncatedFile):
+            read_volume(path)
+
+    def test_corrupt_deflate_stream(self, tmp_path):
+        data = np.arange(64, dtype=np.float32).reshape((4, 4, 4), order="F")
+        path = fixture_file(tmp_path, "bad.nii.gz", fixture_header(dims=(4, 4, 4)), data,
+                            compress=True)
+        blob = bytearray(path.read_bytes())
+        blob[10] = 0xFF  # first deflate block header after the 10-byte gzip header: reserved type
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IoFailure):
             read_volume(path)
 
     def test_trailing_unit_dimensions_squeezed(self, tmp_path):
