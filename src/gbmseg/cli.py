@@ -15,12 +15,12 @@ from pathlib import Path
 from .errors import GbmsegError, NoMatchedCases
 from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
-    _case_stem,
-    _volume_files,
     aggregate,
     build_report,
+    case_files,
     evaluate_dataset,
     rank_all,
+    read_labels,
     read_metrics_csv,
     render_aggregate_table,
     summarize_method,
@@ -49,11 +49,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-def _read_labels(path: Path) -> LabelVolume:
-    _, grid = read_volume(path)
-    return LabelVolume.from_grid(grid)
 
 
 def _write_labels(path: Path, labels: LabelVolume) -> None:
@@ -97,7 +92,7 @@ def _cmd_fuse(args) -> None:
     method_dirs = [Path(d) for d in args.methods]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    per_dir = [{_case_stem(p): p for p in _volume_files(d)} for d in method_dirs]
+    per_dir = [case_files(d) for d in method_dirs]
     common = sorted(set.intersection(*(set(d) for d in per_dir))) if per_dir else []
     for d, cases in zip(method_dirs, per_dir):
         for missing in sorted(set(cases) - set(common)):
@@ -108,7 +103,7 @@ def _cmd_fuse(args) -> None:
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
     post_cfg = PostprocessConfig(et_threshold=args.et_threshold)
     for case_id in common:
-        raters = [_read_labels(d[case_id]) for d in per_dir]
+        raters = [read_labels(d[case_id], case_id) for d in per_dir]
         if args.method == "vote":
             fused = majority_vote(raters)
         elif args.method == "mean":

@@ -82,7 +82,8 @@ class TooFewRaters(GbmsegError):
 
 
 class DegenerateInput(GbmsegError):
-    """Every rater marks every voxel identically; classes cannot be separated."""
+    """Foreground and background cannot be separated: every rater marks
+    every voxel identically, or STAPLE weighs every voxel exactly 0 or 1."""
 
 
 class TooManyRaters(GbmsegError):

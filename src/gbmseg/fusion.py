@@ -188,7 +188,9 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     count.  Per iteration the work and memory are O(R·P) with
     P <= min(2^R, N); the only length-N arrays are the code volume, the
     final gather index and the returned weights.  Codes are at most 64
-    bits wide, so R > 64 raises :class:`TooManyRaters`.
+    bits wide, so R > 64 raises :class:`TooManyRaters`.  An E-step that
+    weighs every voxel exactly 1 (or 0) leaves the M-step nothing to divide
+    by and raises :class:`DegenerateInput`.
     """
     n_raters = len(raters)
     if n_raters < 2:
@@ -243,8 +245,12 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         # objective is concave in each rate separately.
         fg_mass = counts * new_weights
         bg_mass = counts * (1.0 - new_weights)
-        sens = np.clip(_ordered_sum(np.where(marks, fg_mass, 0.0)) / _ordered_sum(fg_mass), lo, hi)
-        spec = np.clip(_ordered_sum(np.where(marks, 0.0, bg_mass)) / _ordered_sum(bg_mass), lo, hi)
+        fg_total, bg_total = _ordered_sum(fg_mass), _ordered_sum(bg_mass)
+        if fg_total == 0.0 or bg_total == 0.0:
+            raise DegenerateInput(
+                f"STAPLE on {raters[0].region.value}: every weight is exactly {int(bg_total == 0.0)}")
+        sens = np.clip(_ordered_sum(np.where(marks, fg_mass, 0.0)) / fg_total, lo, hi)
+        spec = np.clip(_ordered_sum(np.where(marks, 0.0, bg_mass)) / bg_total, lo, hi)
 
         delta = float(_ordered_sum(counts * np.abs(new_weights - weights))) / n_voxels
         weights = new_weights

@@ -26,8 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, NoMatchedCases, UnreadableVolume
-from .errors import GbmsegError
+from .errors import EmptyInput, GbmsegError, NoMatchedCases, UnreadableVolume
 from .metrics import CaseMetrics, EmptyMaskPolicy, evaluate_case
 from .nifti_io import read_volume
 from .volume import REGIONS, LabelVolume, Region
@@ -95,11 +94,12 @@ def _case_stem(path: Path) -> str:
     return name
 
 
-def _volume_files(directory: Path) -> list[Path]:
-    return sorted(
-        p for p in directory.iterdir()
-        if p.is_file() and (p.name.endswith(".nii") or p.name.endswith(".nii.gz"))
-    )
+def case_files(directory) -> dict[str, Path]:
+    """Map case stem to path for every ``.nii``/``.nii.gz`` file in a directory."""
+    return {
+        _case_stem(p): p for p in sorted(Path(directory).iterdir())
+        if p.is_file() and p.name.endswith((".nii", ".nii.gz"))
+    }
 
 
 def _longest_common_substring(a: str, b: str) -> str:
@@ -116,9 +116,8 @@ def pair_cases(
     """
     if manifest is not None:
         return _pairs_from_manifest(Path(manifest))
-    pred_dir, gt_dir = Path(pred_dir), Path(gt_dir)
-    preds = {_case_stem(p): p for p in _volume_files(pred_dir)}
-    gts = {_case_stem(p): p for p in _volume_files(gt_dir)}
+    preds = case_files(pred_dir)
+    gts = case_files(gt_dir)
 
     pairs: list[tuple[str, Path, Path]] = []
     matched_gt: set[str] = set()
@@ -162,7 +161,8 @@ def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     return sorted(pairs)
 
 
-def _read_labels(path: Path, case_id: str) -> LabelVolume:
+def read_labels(path, case_id: str) -> LabelVolume:
+    """Read one case's label volume; any failure names the case and file."""
     try:
         _, grid = read_volume(path)
         return LabelVolume.from_grid(grid)
@@ -182,8 +182,8 @@ def evaluate_dataset(
         raise NoMatchedCases(f"no case pairs between {pred_dir} and {gt_dir}")
     results = []
     for case_id, pred_path, gt_path in pairs:
-        pred = _read_labels(pred_path, case_id)
-        gt = _read_labels(gt_path, case_id)
+        pred = read_labels(pred_path, case_id)
+        gt = read_labels(gt_path, case_id)
         results.append(evaluate_case(pred, gt, policy, case_id=case_id))
     return results
 

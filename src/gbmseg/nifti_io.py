@@ -12,6 +12,7 @@ Field offsets below follow the official nifti1.h layout.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 import zlib
 from dataclasses import dataclass
@@ -27,7 +28,7 @@ from .errors import (
     TruncatedFile,
     UnsupportedDatatype,
 )
-from .volume import VoxelGrid
+from .volume import VoxelGrid, checked_geometry
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # header + 4-byte extension flag
@@ -67,15 +68,13 @@ class NiftiHeader:
             raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
         if self.datatype_code not in _DTYPES:
             raise UnsupportedDatatype(f"datatype code {self.datatype_code}")
-        if any(s <= 0 for s in self.spacing):
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
-        affine = np.asarray(self.affine, dtype=np.float64)
-        if affine.shape != (4, 4) or abs(np.linalg.det(affine)) < 1e-12:
-            raise ValueError("affine must be an invertible 4x4 matrix")
+        if not (math.isfinite(self.scale_slope) and math.isfinite(self.scale_intercept)):
+            raise ValueError("scl_slope and scl_inter must be finite")
         if self.magic != "n+1":
             raise NotNifti(f"unsupported magic {self.magic!r}")
+        spacing, affine = checked_geometry(self.spacing, self.affine)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
-        object.__setattr__(self, "spacing", tuple(float(s) for s in self.spacing))
+        object.__setattr__(self, "spacing", spacing)
         object.__setattr__(self, "affine", affine)
 
     @classmethod
@@ -138,6 +137,8 @@ def _parse_header(raw: bytes) -> tuple[NiftiHeader, str, int]:
 
     if datatype not in _DTYPES:
         raise UnsupportedDatatype(f"datatype code {datatype}")
+    if not math.isfinite(vox_offset):
+        raise NotNifti(f"malformed header: vox_offset is {vox_offset}")
 
     # Tolerate sloppy pixdims (negative or zero) the way mainstream readers
     # do; our own writer always emits positive values.
@@ -148,8 +149,10 @@ def _parse_header(raw: bytes) -> tuple[NiftiHeader, str, int]:
         affine[:3, :] = np.asarray(srow, dtype=np.float64).reshape(3, 4)
     elif qform_code > 0:
         qfac = -1.0 if pixdim[0] == -1.0 else 1.0
-        rot = _quaternion_rotation(*quatern)
-        affine[:3, :3] = rot @ np.diag([spacing[0], spacing[1], spacing[2] * qfac])
+        # Non-finite fields propagate here; NiftiHeader rejects the result.
+        with np.errstate(invalid="ignore", over="ignore"):
+            rot = _quaternion_rotation(*quatern)
+            affine[:3, :3] = rot @ np.diag([spacing[0], spacing[1], spacing[2] * qfac])
         affine[:3, 3] = qoffset
     else:
         affine[:3, :3] = np.diag(spacing)

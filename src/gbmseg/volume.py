@@ -12,8 +12,10 @@ Value types are frozen dataclasses; treat the wrapped arrays as immutable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -33,127 +35,115 @@ class Region(Enum):
 REGIONS = (Region.ET, Region.TC, Region.WT)
 
 
-def _checked_spacing(spacing) -> tuple[float, float, float]:
+def checked_geometry(spacing, affine=None) -> tuple[tuple[float, float, float], np.ndarray]:
+    """Validate one volume's geometry, or raise ValueError.  Spacing must be
+    three finite positive reals; the affine, by default diag(spacing, 1), a
+    finite 4x4 matrix with |det| >= 1e-12."""
     s = tuple(float(x) for x in spacing)
-    if len(s) != 3 or any(x <= 0 for x in s):
-        raise ValueError(f"spacing must be 3 positive reals, got {spacing!r}")
-    return s
+    if len(s) != 3 or not all(math.isfinite(x) and x > 0 for x in s):
+        raise ValueError(f"spacing must be 3 finite positive reals, got {spacing!r}")
+    out = np.diag(s + (1.0,)) if affine is None else np.asarray(affine, dtype=np.float64)
+    if out.shape != (4, 4) or not np.isfinite(out).all() or abs(np.linalg.det(out)) < 1e-12:
+        raise ValueError("affine must be a finite invertible 4x4 matrix")
+    return s, out
 
 
-def _checked_affine(affine, spacing) -> np.ndarray:
-    if affine is None:
-        out = np.diag(list(spacing) + [1.0])
-    else:
-        out = np.asarray(affine, dtype=np.float64)
-        if out.shape != (4, 4):
-            raise ValueError(f"affine must be 4x4, got shape {out.shape}")
-    return out
+class _Volume:
+    """A 3D payload (the field named by ``_payload``, passed through the
+    subclass's ``_checked`` rule) plus its spacing and affine."""
+
+    _payload: ClassVar[str]
+
+    @staticmethod
+    def _checked(payload: np.ndarray) -> np.ndarray:
+        return payload
+
+    def __post_init__(self):
+        payload = np.asarray(getattr(self, self._payload))
+        if payload.ndim != 3:
+            raise ValueError(f"{self._payload} must be a 3D array, got ndim={payload.ndim}")
+        payload = self._checked(payload)
+        spacing, affine = checked_geometry(self.spacing, self.affine)
+        object.__setattr__(self, self._payload, payload)
+        object.__setattr__(self, "spacing", spacing)
+        object.__setattr__(self, "affine", affine)
+
+    @property
+    def dims(self) -> tuple[int, int, int]:
+        return getattr(self, self._payload).shape
 
 
 @dataclass(frozen=True, eq=False)
-class VoxelGrid:
+class VoxelGrid(_Volume):
     """A 3D scalar grid with physical spacing and a voxel-to-world affine."""
 
     values: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     affine: np.ndarray | None = None
-
-    def __post_init__(self):
-        values = np.asarray(self.values)
-        if values.ndim != 3:
-            raise ValueError(f"values must be a 3D array, got ndim={values.ndim}")
-        spacing = _checked_spacing(self.spacing)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "affine", _checked_affine(self.affine, spacing))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.values.shape
+    _payload: ClassVar[str] = "values"
 
 
 @dataclass(frozen=True, eq=False)
-class LabelVolume:
+class LabelVolume(_Volume):
     """Per-voxel BraTS labels; only the values 0, 1, 2 and 4 may appear."""
 
     labels: np.ndarray
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     affine: np.ndarray | None = None
+    _payload: ClassVar[str] = "labels"
 
-    def __post_init__(self):
-        labels = np.asarray(self.labels)
-        if labels.ndim != 3:
-            raise ValueError(f"labels must be a 3D array, got ndim={labels.ndim}")
+    @staticmethod
+    def _checked(labels: np.ndarray) -> np.ndarray:
+        # Check before the cast: uint8 would wrap 256 round to 0.
         if not np.isin(labels, BRATS_LABELS).all():
             bad = sorted(set(np.unique(labels)) - set(BRATS_LABELS))
             raise BadLabel(f"labels outside {{0,1,2,4}}: {bad}")
-        spacing = _checked_spacing(self.spacing)
-        object.__setattr__(self, "labels", labels.astype(np.uint8, copy=False))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "affine", _checked_affine(self.affine, spacing))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.labels.shape
+        return labels.astype(np.uint8, copy=False)
 
     @classmethod
     def from_grid(cls, grid: VoxelGrid) -> "LabelVolume":
         """Reinterpret a scalar grid (e.g. freshly read from disk) as labels."""
-        rounded = np.rint(grid.values)
-        if not np.array_equal(rounded, grid.values):
+        values = grid.values
+        if values.dtype.kind == "f" and not np.array_equal(np.rint(values), values):
             raise BadLabel("grid holds non-integer values; not a label volume")
-        return cls(rounded.astype(np.uint8), grid.spacing, grid.affine)
+        return cls(values, grid.spacing, grid.affine)
 
     def to_grid(self) -> VoxelGrid:
         return VoxelGrid(self.labels, self.spacing, self.affine)
 
 
 @dataclass(frozen=True, eq=False)
-class RegionMask:
+class RegionMask(_Volume):
     """Binary membership for one evaluated region."""
 
     member: np.ndarray
     region: Region
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     affine: np.ndarray | None = None
+    _payload: ClassVar[str] = "member"
 
-    def __post_init__(self):
-        member = np.asarray(self.member)
-        if member.ndim != 3:
-            raise ValueError(f"member must be a 3D array, got ndim={member.ndim}")
-        spacing = _checked_spacing(self.spacing)
-        object.__setattr__(self, "member", member.astype(bool, copy=False))
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "affine", _checked_affine(self.affine, spacing))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.member.shape
+    @staticmethod
+    def _checked(member: np.ndarray) -> np.ndarray:
+        return member.astype(bool, copy=False)
 
 
 @dataclass(frozen=True, eq=False)
-class ProbabilityVolume:
+class ProbabilityVolume(_Volume):
     """Per-voxel probability of membership in one evaluated region."""
 
     prob: np.ndarray
     region: Region
     spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
     affine: np.ndarray | None = None
+    _payload: ClassVar[str] = "prob"
 
-    def __post_init__(self):
-        prob = np.asarray(self.prob, dtype=np.float64)
-        if prob.ndim != 3:
-            raise ValueError(f"prob must be a 3D array, got ndim={prob.ndim}")
-        if prob.size and (np.nanmin(prob) < 0.0 or np.nanmax(prob) > 1.0 or np.isnan(prob).any()):
+    @staticmethod
+    def _checked(prob: np.ndarray) -> np.ndarray:
+        prob = prob.astype(np.float64, copy=False)
+        # min/max propagate NaN, and NaN fails both comparisons
+        if prob.size and not (prob.min() >= 0.0 and prob.max() <= 1.0):
             raise ValueError("probabilities must lie in [0, 1]")
-        spacing = _checked_spacing(self.spacing)
-        object.__setattr__(self, "prob", prob)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "affine", _checked_affine(self.affine, spacing))
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.prob.shape
+        return prob
 
 
 def same_geometry(a, b, *, atol: float = 1e-5) -> bool:

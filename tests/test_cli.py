@@ -1,4 +1,6 @@
+import gzip
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -129,6 +131,35 @@ class TestFuse:
         victim = method_dirs[1] / "case_001.nii.gz"
         blob = victim.read_bytes()
         victim.write_bytes(blob[: len(blob) // 2])
+        code = main(["fuse", *map(str, method_dirs), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "error" in err and "Traceback" not in err
+        assert "case case_001:" in err
+
+    @pytest.mark.parametrize("patches", [
+        [(80, "f", float("nan")), (254, "h", 0)],  # pixdim[1], sform_code: no sform
+        [(280, "f", float("nan"))],  # srow_x[0]
+        [(108, "f", float("inf"))],  # vox_offset
+    ], ids=["nan_pixdim", "nan_srow", "inf_vox_offset"])
+    def test_non_finite_header_is_data_error(self, phantom_dirs, tmp_path, capsys, patches):
+        method_dirs, _ = phantom_dirs
+        victim = method_dirs[1] / "case_001.nii.gz"
+        blob = bytearray(gzip.decompress(victim.read_bytes()))
+        for offset, fmt, value in patches:
+            struct.pack_into("<" + fmt, blob, offset, value)
+        victim.write_bytes(gzip.compress(bytes(blob)))
+        code = main(["fuse", *map(str, method_dirs), "--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "case case_001:" in err and "malformed header" in err
+
+    def test_staple_without_background_mass_is_data_error(self, tmp_path, capsys):
+        # 4 of 5 raters label both voxels edema: STAPLE weighs every WT voxel 1.0.
+        method_dirs = [tmp_path / f"m{i}" for i in range(5)]
+        for d, label in zip(method_dirs, [2, 2, 2, 2, 0]):
+            d.mkdir()
+            write_labels(d / "c.nii.gz", LabelVolume(np.full((2, 1, 1), label, np.uint8)))
         code = main(["fuse", *map(str, method_dirs), "--out", str(tmp_path / "x")])
         err = capsys.readouterr().err
         assert code == 2

@@ -192,6 +192,13 @@ class TestStapleBinary:
         with pytest.raises(DegenerateInput):
             staple_binary([mask(np.ones((4, 4, 4), bool))] * 3)
 
+    def test_every_weight_exactly_one_is_degenerate(self):
+        # 4 of 5 raters mark both voxels: the first E-step weighs each voxel
+        # exactly 1.0, leaving the M-step no background mass to divide by.
+        members = [np.ones((2, 1, 1), bool)] * 4 + [np.zeros((2, 1, 1), bool)]
+        with pytest.raises(DegenerateInput, match="exactly 1"):
+            staple_binary([mask(m) for m in members])
+
     def test_scalar_prior_supported(self):
         rng = np.random.default_rng(7)
         truth = ball((10, 10, 10), 3.5)
@@ -301,8 +308,12 @@ class TestStaplePatternsMatchReference:
     def test_random_small_masks(self, data, n_raters, dims, prior_mode, max_iter):
         members = data.draw(arrays(np.bool_, (n_raters,) + dims))
         assume(members.any() and not members.all())
-        assume(_reference_is_defined(members, prior_mode, max_iter))
-        _assert_matches_reference(members, prior_mode, max_iter)
+        if _reference_is_defined(members, prior_mode, max_iter):
+            _assert_matches_reference(members, prior_mode, max_iter)
+        else:
+            with pytest.raises(DegenerateInput):
+                staple_binary([mask(m) for m in members],
+                              StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
 
     @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
     def test_every_pattern_of_sixteen_raters(self, prior_mode):

@@ -7,14 +7,18 @@ package's own serialization.
 """
 
 import gzip
+import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gbmseg.errors import (
     DimensionError,
     DimensionMismatch,
+    GbmsegError,
     IoFailure,
     NotNifti,
     TruncatedFile,
@@ -49,6 +53,7 @@ def fixture_header(
     magic=b"n+1\x00",
     ndim=None,
     extra_dims=(),
+    vox_offset=352.0,
 ) -> bytes:
     """Assemble a 348-byte header straight from the nifti1.h field table."""
     buf = bytearray(348)
@@ -61,7 +66,7 @@ def fixture_header(
     struct.pack_into(bo + "2h", buf, 70, datatype, _BITPIX.get(datatype, 0))
     pixdim = (1.0,) + tuple(spacing) + (1.0,) * 4
     struct.pack_into(bo + "8f", buf, 76, *pixdim)
-    struct.pack_into(bo + "3f", buf, 108, 352.0, slope, inter)
+    struct.pack_into(bo + "3f", buf, 108, vox_offset, slope, inter)
     struct.pack_into(bo + "2h", buf, 252, qform_code, sform_code)
     struct.pack_into(bo + "3f", buf, 256, *quatern)
     struct.pack_into(bo + "3f", buf, 268, *qoffset)
@@ -164,6 +169,53 @@ class TestReadVolume:
         path = fixture_file(tmp_path, "pair.nii", fixture_header(magic=b"ni1\x00"), data)
         with pytest.raises(NotNifti):
             read_volume(path)
+
+    @pytest.mark.parametrize("fields", [
+        {"spacing": (math.nan, 1.0, 1.0), "sform_code": 0},
+        {"srow": [[math.nan, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]},
+        {"quatern": (math.inf, 0.0, 0.0), "sform_code": 0, "qform_code": 1},
+        {"vox_offset": math.inf},
+        {"vox_offset": math.nan},
+        {"slope": math.inf},
+        {"inter": math.nan},
+    ], ids=["nan_pixdim", "nan_srow", "inf_quatern", "inf_vox_offset", "nan_vox_offset",
+            "inf_slope", "nan_inter"])
+    def test_non_finite_header_field_rejected(self, tmp_path, fields):
+        data = np.arange(8, dtype=np.float32)
+        path = fixture_file(tmp_path, "bad.nii", fixture_header(**fields), data)
+        with pytest.raises(NotNifti):
+            read_volume(path)
+
+
+# Every 4-byte float field that shapes geometry, offset or scaling: pixdim[0..7],
+# vox_offset, scl_slope, scl_inter, quatern_b..d, qoffset_x..z and srow_x..z.
+_FLOAT_FIELD_OFFSETS = list(range(76, 120, 4)) + list(range(256, 328, 4))
+
+
+class TestFuzzedHeaderFields:
+    @given(
+        codes=st.sampled_from([(1, 0), (0, 1), (0, 0)]),
+        patches=st.dictionaries(
+            st.sampled_from(_FLOAT_FIELD_OFFSETS),
+            st.sampled_from([math.nan, math.inf, -math.inf]) | st.floats(width=32),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_finite_geometry_or_gbmseg_error(self, tmp_path_factory, codes, patches):
+        sform_code, qform_code = codes
+        blob = bytearray(fixture_header(sform_code=sform_code, qform_code=qform_code))
+        for offset, value in patches.items():
+            struct.pack_into("<f", blob, offset, value)
+        data = np.arange(8, dtype=np.float32)
+        path = fixture_file(tmp_path_factory.getbasetemp(), "fuzzed.nii", bytes(blob), data)
+        try:
+            _, grid = read_volume(path)
+        except GbmsegError:
+            return
+        assert all(math.isfinite(s) and s > 0 for s in grid.spacing)
+        assert np.isfinite(grid.affine).all()
 
 
 class TestValidateHeader:

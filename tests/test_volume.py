@@ -147,8 +147,9 @@ class TestTypes:
             LabelVolume(np.full((2, 2, 2), 3, dtype=np.uint8))
 
     def test_probability_volume_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            ProbabilityVolume(np.full((1, 1, 1), 1.2), Region.ET)
+        for value in (1.2, -0.1, np.nan):
+            with pytest.raises(ValueError):
+                ProbabilityVolume(np.full((1, 1, 1), value), Region.ET)
 
     def test_voxel_grid_default_affine_is_spacing_diagonal(self):
         grid = VoxelGrid(np.zeros((2, 2, 2)), spacing=(2.0, 3.0, 4.0))
@@ -157,6 +158,30 @@ class TestTypes:
     def test_from_grid_rejects_fractional_values(self):
         with pytest.raises(BadLabel):
             LabelVolume.from_grid(VoxelGrid(np.full((1, 1, 1), 0.5)))
+
+    @pytest.mark.parametrize("values", [
+        np.full((1, 1, 1), 256, dtype=np.int16),
+        np.full((1, 1, 1), 260.0),
+    ], ids=["int16_256", "float_260"])
+    def test_from_grid_rejects_labels_that_wrap_in_uint8(self, values):
+        with pytest.raises(BadLabel):
+            LabelVolume.from_grid(VoxelGrid(values))
+
+    @pytest.mark.parametrize("make", [
+        lambda **geo: VoxelGrid(np.zeros((2, 2, 2)), **geo),
+        lambda **geo: LabelVolume(np.zeros((2, 2, 2), np.uint8), **geo),
+        lambda **geo: RegionMask(np.zeros((2, 2, 2), bool), Region.ET, **geo),
+        lambda **geo: ProbabilityVolume(np.zeros((2, 2, 2)), Region.ET, **geo),
+    ], ids=["VoxelGrid", "LabelVolume", "RegionMask", "ProbabilityVolume"])
+    @pytest.mark.parametrize("geometry", [
+        {"spacing": (np.inf, 1.0, 1.0)},
+        {"spacing": (np.nan, 1.0, 1.0)},
+        {"affine": np.diag([np.nan, 1.0, 1.0, 1.0])},
+        {"affine": np.diag([1.0, 1.0, 0.0, 1.0])},
+    ], ids=["inf_spacing", "nan_spacing", "nan_affine", "singular_affine"])
+    def test_constructors_reject_bad_geometry(self, make, geometry):
+        with pytest.raises(ValueError):
+            make(**geometry)
 
     def test_from_grid_round_trip(self):
         vol = _labels([0, 1, 2, 4])
