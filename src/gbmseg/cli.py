@@ -10,6 +10,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .errors import GbmsegError, NoMatchedCases
@@ -93,7 +94,7 @@ def _cmd_fuse(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     per_dir = [case_files(d) for d in method_dirs]
-    common = sorted(set.intersection(*(set(d) for d in per_dir))) if per_dir else []
+    common = sorted(set.intersection(*(set(d) for d in per_dir)))
     for d, cases in zip(method_dirs, per_dir):
         for missing in sorted(set(cases) - set(common)):
             logger.warning("case %s only present in %s; skipped", missing, d)
@@ -141,18 +142,7 @@ def _cmd_report(args) -> None:
         summaries.append(summarize_method(name, report))
         tables.append(f"== {name} ==\n{render_aggregate_table(report)}")
     orders = rank_all(summaries)
-    payload = {
-        "methods": [
-            {
-                "method_name": s.method_name,
-                "avg_dsc": s.avg_dsc,
-                "avg_hd95": s.avg_hd95,
-                "ranks": s.ranks,
-            }
-            for s in summaries
-        ],
-        "order": orders,
-    }
+    payload = {"methods": [asdict(s) for s in summaries], "order": orders}
     write_json(payload, out_dir / "ranking.json")
     (out_dir / "aggregates.txt").write_bytes("\n".join(tables).encode("utf-8"))
     for s in sorted(summaries, key=lambda s: s.ranks["dsc_only"]):

@@ -27,7 +27,6 @@ from .errors import (
 from .postprocess import PostprocessConfig, et_threshold_relabel
 from .volume import (
     BRATS_LABELS,
-    REGIONS,
     LabelVolume,
     ProbabilityVolume,
     RegionMask,
@@ -136,6 +135,15 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     return LabelVolume(winner, raters[0].spacing, raters[0].affine)
 
 
+def _fuse_regions(raters: list[LabelVolume], rule) -> LabelVolume:
+    """Fuse label volumes region by region: compose each rater's ET/TC/WT
+    masks, fuse each region's R masks with ``rule`` and recombine the three
+    results through the ET > TC > WT label priority."""
+    require_same_geometry(*raters)
+    per_rater = [compose_regions(r) for r in raters]
+    return decompose_regions(*(rule(list(masks)) for masks in zip(*per_rater)))
+
+
 def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     """Fuse label volumes by the per-region mean of the raters' masks.
 
@@ -146,17 +154,16 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     """
     if not raters:
         raise EmptyInput("no raters to fuse")
-    require_same_geometry(*raters)
-    per_rater = [compose_regions(r) for r in raters]
     needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
-    consensus: list[RegionMask] = []
-    for region_idx in range(len(REGIONS)):
-        first = per_rater[0][region_idx]
-        marked = np.zeros(first.dims, dtype=np.min_scalar_type(len(raters)))
-        for triple in per_rater:
-            marked += triple[region_idx].member
-        consensus.append(RegionMask(marked >= needed, first.region, first.spacing, first.affine))
-    return decompose_regions(*consensus)
+    marked = np.empty(raters[0].dims, dtype=np.min_scalar_type(len(raters)))
+
+    def keep_half(masks: list[RegionMask]) -> RegionMask:
+        marked.fill(0)  # one buffer for all regions: a fresh one each re-faulted its pages
+        for mask in masks:
+            np.add(marked, mask.member, out=marked)
+        return RegionMask(marked >= needed, masks[0].region, masks[0].spacing, masks[0].affine)
+
+    return _fuse_regions(raters, keep_half)
 
 
 def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -289,18 +296,13 @@ def staple_regions(methods: list[LabelVolume], cfg: StapleConfig = StapleConfig(
     """
     if len(methods) < 2:
         raise TooFewRaters(f"need >= 2 method predictions, got {len(methods)}")
-    require_same_geometry(*methods)
-    per_method = [compose_regions(m) for m in methods]
 
-    consensus: list[RegionMask] = []
-    for region_idx, region in enumerate(REGIONS):
-        masks = [triple[region_idx] for triple in per_method]
-        reference = masks[0]
-        if all(np.array_equal(m.member, reference.member) for m in masks[1:]):
-            consensus.append(reference)
-        else:
-            consensus.append(staple_binary(masks, cfg).consensus)
-    return decompose_regions(*consensus)
+    def staple_or_agreed(masks: list[RegionMask]) -> RegionMask:
+        if all(np.array_equal(m.member, masks[0].member) for m in masks[1:]):
+            return masks[0]
+        return staple_binary(masks, cfg).consensus
+
+    return _fuse_regions(methods, staple_or_agreed)
 
 
 def ensemble_pipeline(
@@ -323,17 +325,10 @@ def ensemble_pipeline(
     for method_idx, folds in enumerate(per_method_fold_probs):
         if not folds:
             raise EmptyInput(f"method {method_idx} has no folds")
-        masks = []
-        for region_idx, region in enumerate(REGIONS):
-            fold_probs = [fold[region_idx] for fold in folds]
-            for p in fold_probs:
-                if p.region is not region:
-                    raise RegionMismatch(
-                        f"method {method_idx}: expected {region.value} at slot "
-                        f"{region_idx}, got {p.region.value}"
-                    )
-            averaged = average_probabilities(fold_probs)
-            masks.append(binarize(averaged, FOLD_PROBABILITY_THRESHOLD))
+        # average_probabilities rejects a slot whose folds disagree on the
+        # region, and decompose_regions a slot order other than ET, TC, WT.
+        masks = [binarize(average_probabilities(list(slot)), FOLD_PROBABILITY_THRESHOLD)
+                 for slot in zip(*folds)]
         method_labels.append(decompose_regions(*masks))
     fused = staple_regions(method_labels, cfg)
     return et_threshold_relabel(fused, post)

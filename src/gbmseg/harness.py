@@ -20,7 +20,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from difflib import SequenceMatcher
 from pathlib import Path
 
@@ -33,7 +33,7 @@ from .volume import REGIONS, LabelVolume, Region
 
 logger = logging.getLogger(__name__)
 
-CSV_COLUMNS = ("case_id", "dsc_et", "dsc_tc", "dsc_wt", "hd95_et", "hd95_tc", "hd95_wt")
+CSV_COLUMNS = tuple(f.name for f in fields(CaseMetrics))
 
 RANK_STRATEGIES = ("dsc_only", "avg_rank", "dsc_minus_hd95")
 
@@ -310,26 +310,14 @@ def render_aggregate_table(report: AggregateReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _stats_dict(stats: SummaryStats) -> dict[str, float]:
-    return {
-        "mean": stats.mean,
-        "std_dev": stats.std_dev,
-        "median": stats.median,
-        "quantile_25": stats.quantile_25,
-        "quantile_75": stats.quantile_75,
-    }
-
-
 def build_report(cases: list[CaseMetrics], report: AggregateReport) -> dict:
     """JSON-ready dict mirroring the CSV schema plus the aggregate block."""
     return {
         "n_cases": report.n_cases,
-        "cases": [
-            {column: getattr(c, column) for column in CSV_COLUMNS} for c in cases
-        ],
+        "cases": [asdict(c) for c in cases],
         "aggregate": {
-            "dsc": {r.value: _stats_dict(report.dsc[r]) for r in REGIONS},
-            "hd95": {r.value: _stats_dict(report.hd95[r]) for r in REGIONS},
+            "dsc": {r.value: asdict(report.dsc[r]) for r in REGIONS},
+            "hd95": {r.value: asdict(report.hd95[r]) for r in REGIONS},
         },
     }
 

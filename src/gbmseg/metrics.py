@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import GeometryMismatch
 from .volume import (
     LabelVolume,
     ProbabilityVolume,

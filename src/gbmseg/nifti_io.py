@@ -78,14 +78,16 @@ class NiftiHeader:
         object.__setattr__(self, "affine", affine)
 
     @classmethod
-    def for_grid(
-        cls,
-        grid: VoxelGrid,
-        datatype_code: int = DT_FLOAT32,
-        scale_slope: float = 1.0,
-        scale_intercept: float = 0.0,
-    ) -> "NiftiHeader":
-        return cls(grid.dims, datatype_code, grid.spacing, grid.affine, scale_slope, scale_intercept)
+    def for_grid(cls, grid: VoxelGrid, datatype_code: int = DT_FLOAT32) -> "NiftiHeader":
+        return cls(grid.dims, datatype_code, grid.spacing, grid.affine)
+
+
+def _rescales(header: NiftiHeader) -> bool:
+    """Whether :func:`read_volume` rescales the payload stored under this
+    header: ``scl_slope`` 0 means "no scaling" in NIfTI-1, and the identity
+    pair (1, 0) is skipped so unscaled payloads keep their on-disk dtype."""
+    slope, inter = header.scale_slope, header.scale_intercept
+    return slope != 0.0 and not (slope == 1.0 and inter == 0.0)
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -197,9 +199,7 @@ def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
     """Read a single-file NIfTI-1 volume, optionally gzip-compressed.
 
     Data are decoded in the file's byte order, then the slope/intercept
-    scaling is applied when ``scl_slope`` is neither 0 (NIfTI-1 "no
-    scaling" convention) nor the identity pair (1, 0); the identity pair
-    is skipped so unscaled payloads keep their exact on-disk dtype.
+    scaling is applied unless ``scl_slope`` is 0 or the pair is (1, 0).
     """
     path = Path(path)
     raw = _read_bytes(path)
@@ -215,28 +215,26 @@ def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
     flat = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
     values = flat.reshape(header.dims, order="F").astype(dt.newbyteorder("="))
 
-    slope, inter = header.scale_slope, header.scale_intercept
-    if slope != 0.0 and not (slope == 1.0 and inter == 0.0):
-        values = values.astype(np.float64) * slope + inter
+    if _rescales(header):
+        values = values.astype(np.float64) * header.scale_slope + header.scale_intercept
 
     grid = VoxelGrid(values, spacing=header.spacing, affine=header.affine)
     return header, grid
 
 
-def _pack_header(header: NiftiHeader) -> bytes:
+def _pack_header(header: NiftiHeader, spacing: np.ndarray, affine: np.ndarray) -> bytes:
     buf = bytearray(HEADER_SIZE)
     struct.pack_into("<i", buf, 0, HEADER_SIZE)
     struct.pack_into("<c", buf, 38, b"r")  # "regular" flag, kept for convention
     struct.pack_into("<8h", buf, 40, 3, *header.dims, 1, 1, 1, 1)
     struct.pack_into("<2h", buf, 70, header.datatype_code, _BITPIX[header.datatype_code])
-    struct.pack_into("<8f", buf, 76, 1.0, *header.spacing, 1.0, 1.0, 1.0, 1.0)
+    struct.pack_into("<8f", buf, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
     struct.pack_into("<3f", buf, 108, float(DATA_OFFSET), header.scale_slope, header.scale_intercept)
     struct.pack_into("<B", buf, 123, 2)  # xyzt_units: millimetres
     buf[148 : 148 + 6] = b"gbmseg"
     # Geometry goes out through the sform only; qform_code stays 0.
     struct.pack_into("<2h", buf, 252, 0, 1)
-    affine32 = np.asarray(header.affine, dtype=np.float32)
-    struct.pack_into("<12f", buf, 280, *affine32[:3, :].ravel())
+    struct.pack_into("<12f", buf, 280, *affine[:3, :].ravel())
     buf[344:348] = _MAGIC_SINGLE
     return bytes(buf)
 
@@ -247,14 +245,30 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     The payload is cast to the header's datatype; float32/float64 payloads
     round-trip bit-exactly through :func:`read_volume`.  A ``.gz`` suffix
     selects gzip output (mtime pinned to 0 so identical inputs produce
-    byte-identical files).
+    byte-identical files).  A header whose scaling the reader would apply
+    is refused, since the grid holds values already scaled, and so is
+    geometry the float32 header fields cannot hold.
     """
     path = Path(path)
     if header.dims != grid.dims:
         raise DimensionMismatch(f"header dims {header.dims} != grid dims {grid.dims}")
+    if _rescales(header):
+        raise IoFailure(
+            f"cannot write {path}: scl_slope {header.scale_slope} and scl_inter "
+            f"{header.scale_intercept} would rescale the values again on reading"
+        )
+    # The header stores geometry as float32; what the reader gets back must
+    # pass the same geometry rule.
+    with np.errstate(over="ignore", under="ignore"):
+        spacing = np.asarray(header.spacing, dtype=np.float32)
+        affine = np.asarray(header.affine, dtype=np.float32)
+    try:
+        checked_geometry(spacing, affine)
+    except ValueError as err:
+        raise IoFailure(f"cannot write {path}: geometry as float32: {err}") from err
     dt = np.dtype(_DTYPES[header.datatype_code]).newbyteorder("<")
     payload = np.asarray(grid.values, dtype=dt).tobytes(order="F")
-    blob = _pack_header(header) + b"\x00\x00\x00\x00" + payload
+    blob = _pack_header(header, spacing, affine) + b"\x00\x00\x00\x00" + payload
     try:
         if path.name.endswith(".gz"):
             # filename="" and mtime=0 keep the gzip container byte-stable

@@ -23,6 +23,8 @@ from .errors import BadLabel, BadThreshold, GeometryMismatch, RegionMismatch
 
 BRATS_LABELS = (0, 1, 2, 4)
 
+_GEOMETRY_ATOL = 1e-5
+
 
 class Region(Enum):
     """The three evaluated tumor sub-regions."""
@@ -146,12 +148,15 @@ class ProbabilityVolume(_Volume):
         return prob
 
 
-def same_geometry(a, b, *, atol: float = 1e-5) -> bool:
-    """True when two volumes share dims, spacing, and affine (within atol)."""
+def same_geometry(a, b) -> bool:
+    """True when two volumes share dims, spacing, and affine (within 1e-5).
+
+    Spacing is compared on its own: a volume read from disk takes it from
+    pixdim and its affine from the sform, and the two may disagree."""
     return (
         a.dims == b.dims
-        and np.allclose(a.spacing, b.spacing, atol=atol)
-        and np.allclose(a.affine, b.affine, atol=atol)
+        and np.allclose(a.spacing, b.spacing, atol=_GEOMETRY_ATOL)
+        and np.allclose(a.affine, b.affine, atol=_GEOMETRY_ATOL)
     )
 
 

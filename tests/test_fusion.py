@@ -461,6 +461,9 @@ class TestEnsemblePipeline:
         et, tc, wt = region_triple(truth)
         with pytest.raises(RegionMismatch):
             ensemble_pipeline([[(tc, et, wt)], [(tc, et, wt)]])
+        # folds of one method that disagree within a slot
+        with pytest.raises(RegionMismatch):
+            ensemble_pipeline([[(et, tc, wt), (tc, et, wt)], [(et, tc, wt)]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)

@@ -1,9 +1,11 @@
 import json
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from gbmseg.cli import main
 from gbmseg.errors import EmptyInput, NoMatchedCases, UnreadableVolume
 from gbmseg.harness import (
     CSV_COLUMNS,
@@ -28,6 +30,8 @@ from gbmseg.nifti_io import DT_UINT8, NiftiHeader, write_volume
 from gbmseg.volume import REGIONS, Region
 
 from phantoms import nested_label_phantom, noisy_rater_labels
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
 def case(case_id, dsc=90.0, hd=2.0):
@@ -310,3 +314,34 @@ class TestJsonReport:
         write_json(build_report(cases, aggregate(cases)), p2)
         assert p1.read_bytes() == p2.read_bytes()
         json.loads(p1.read_text())  # valid JSON
+
+
+class TestGoldenReports:
+    """Byte-exact report files for fixed metrics: the JSON and text layouts
+    are output formats, so any change to them must show up here."""
+
+    ALPHA = [
+        CaseMetrics("BraTS2021_00001", 82.82, 91.04, 94.59, 1.0, 2.2361, 1.4142),
+        CaseMetrics("BraTS2021_01739", 0.0, 85.34, 95.72, 373.1287, 3.0, 1.0),
+    ]
+    BETA = [
+        CaseMetrics("BraTS2021_00001", 80.5, 88.25, 93.0, 2.0, 3.1623, 1.7321),
+        CaseMetrics("BraTS2021_00002", 100.0, 100.0, 100.0, 0.0, 0.0, 0.0),
+        CaseMetrics("BraTS2021_01739", 12.5, 80.0, 94.75, 8.5, 4.0, 2.0),
+    ]
+
+    def test_report_json(self, tmp_path):
+        path = tmp_path / "report.json"
+        write_json(build_report(self.BETA, aggregate(self.BETA)), path)
+        assert path.read_bytes() == (GOLDEN_DIR / "report.json").read_bytes()
+
+    def test_ranking_aggregates_and_stdout(self, tmp_path, capsys):
+        csvs = []
+        for name, cases in (("alpha", self.ALPHA), ("beta", self.BETA)):
+            csvs.append(str(tmp_path / f"{name}.csv"))
+            write_metrics_csv(cases, csvs[-1])
+        out = tmp_path / "report"
+        assert main(["report", *csvs, "--out", str(out)]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "report_stdout.txt").read_text("utf-8")
+        for name in ("ranking.json", "aggregates.txt"):
+            assert (out / name).read_bytes() == (GOLDEN_DIR / name).read_bytes(), name

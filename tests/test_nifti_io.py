@@ -9,6 +9,7 @@ package's own serialization.
 import gzip
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gbmseg.errors import (
 from gbmseg.nifti_io import (
     DT_FLOAT32,
     DT_FLOAT64,
+    DT_INT16,
     DT_UINT8,
     NiftiHeader,
     read_volume,
@@ -347,3 +349,45 @@ class TestWriteVolume:
         write_volume(a, NiftiHeader.for_grid(grid), grid)
         write_volume(b, NiftiHeader.for_grid(grid), grid)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize(
+        "spacing,affine",
+        [
+            ((1.0, 1.0, 1.0), np.diag([1e39, 1.0, 1.0, 1.0])),
+            ((1e39, 1.0, 1.0), np.eye(4)),
+            ((1e-50, 1.0, 1.0), np.eye(4)),  # pixdim would round to 0
+        ],
+        ids=["affine_overflow", "spacing_overflow", "spacing_underflow"],
+    )
+    def test_geometry_float32_cannot_hold_is_rejected(self, tmp_path, spacing, affine):
+        grid = VoxelGrid(np.zeros((2, 2, 2), dtype=np.float32), spacing=spacing, affine=affine)
+        path = tmp_path / "far.nii"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GbmsegError):
+                write_volume(path, NiftiHeader.for_grid(grid), grid)
+        assert not path.exists()
+
+    def test_scaled_header_is_not_written_back(self, tmp_path):
+        # the reader has already applied slope 2 / intercept 1; writing the
+        # scaled values under the same header would scale them twice
+        data = np.arange(8, dtype=np.int16).reshape((2, 2, 2), order="F")
+        src = fixture_file(tmp_path, "scaled.nii", fixture_header(datatype=DT_INT16, slope=2.0,
+                                                                   inter=1.0), data)
+        header, grid = read_volume(src)
+        assert grid.values.ravel(order="F").tolist() == [1, 3, 5, 7, 9, 11, 13, 15]
+        dst = tmp_path / "copy.nii"
+        with pytest.raises(GbmsegError):
+            write_volume(dst, header, grid)
+        assert not dst.exists()
+
+    @pytest.mark.parametrize("slope,inter", [(1.0, 0.0), (0.0, 9.0)], ids=["identity", "zero_slope"])
+    def test_unscaled_header_round_trips(self, tmp_path, slope, inter):
+        data = np.arange(8, dtype=np.int16).reshape((2, 2, 2), order="F")
+        src = fixture_file(tmp_path, "plain.nii", fixture_header(datatype=DT_INT16, slope=slope,
+                                                                  inter=inter), data)
+        dst = tmp_path / "copy.nii"
+        write_volume(dst, *read_volume(src))
+        _, back = read_volume(dst)
+        assert back.values.dtype == np.int16
+        assert np.array_equal(back.values, data)
