@@ -28,7 +28,6 @@ from .harness import (
     write_json,
     write_metrics_csv,
 )
-from .metrics import EmptyMaskPolicy
 from .nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
 from .postprocess import PostprocessConfig, et_threshold_relabel
 from .preprocess import (
@@ -79,14 +78,7 @@ def _cmd_augment(args) -> None:
     augmented = apply_augmentation(grid, spec, payload)
     datatype = DT_UINT8 if args.labels else DT_FLOAT32
     write_volume(args.out, NiftiHeader.for_grid(augmented, datatype), augmented)
-    print(json.dumps({
-        "seed": spec.seed,
-        "rotation_axis": spec.rotation_axis,
-        "rotation_deg": spec.rotation_deg,
-        "flip_axes": list(spec.flip_axes),
-        "gamma": spec.gamma,
-        "payload": payload,
-    }, sort_keys=True))
+    print(json.dumps({**asdict(spec), "payload": payload}, sort_keys=True))
 
 
 def _cmd_fuse(args) -> None:
@@ -119,7 +111,7 @@ def _cmd_fuse(args) -> None:
 def _cmd_evaluate(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cases = evaluate_dataset(args.pred, args.gt, EmptyMaskPolicy(), manifest=args.manifest)
+    cases = evaluate_dataset(args.pred, args.gt, manifest=args.manifest)
     report = aggregate(cases)
     write_metrics_csv(cases, out_dir / "metrics.csv")
     write_json(build_report(cases, report), out_dir / "report.json")

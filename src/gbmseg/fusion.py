@@ -27,6 +27,7 @@ from .errors import (
 from .postprocess import PostprocessConfig, et_threshold_relabel
 from .volume import (
     BRATS_LABELS,
+    REGIONS,
     LabelVolume,
     ProbabilityVolume,
     RegionMask,
@@ -38,6 +39,10 @@ from .volume import (
 
 FOLD_PROBABILITY_THRESHOLD = 0.5
 MAX_STAPLE_RATERS = 64
+# STAPLE keeps each rater's sensitivity and specificity inside
+# [STAPLE_CLAMP, 1 - STAPLE_CLAMP], so the E-step never takes log(0) and
+# unanimity cannot freeze the iteration.
+STAPLE_CLAMP = 1e-6
 
 logger = logging.getLogger(__name__)
 
@@ -61,24 +66,17 @@ class StapleConfig:
     prevalence is the default because a persistent per-voxel prior lets
     isolated votes on rare structures reinforce themselves until the
     consensus collapses to the union of all raters.
-
-    ``clamp`` keeps the performance estimates strictly inside (0, 1) so
-    the E-step never takes log(0) and unanimity cannot freeze the
-    iteration.
     """
 
     max_iter: int = 50
     tol: float = 1e-6
     prior: float | str = "prevalence"
-    clamp: float = 1e-6
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if not 0 < self.clamp < 0.5:
-            raise ValueError("clamp must lie in (0, 0.5)")
         if isinstance(self.prior, str):
             if self.prior not in ("prevalence", "voxelwise"):
                 raise ValueError(f"unknown prior mode {self.prior!r}")
@@ -230,7 +228,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         log_prior = np.log(prior)
         log_not_prior = np.log1p(-prior)
 
-    lo, hi = cfg.clamp, 1.0 - cfg.clamp
+    lo, hi = STAPLE_CLAMP, 1.0 - STAPLE_CLAMP
     sens = np.full(n_raters, hi)
     spec = np.full(n_raters, hi)
 
@@ -325,6 +323,8 @@ def ensemble_pipeline(
     for method_idx, folds in enumerate(per_method_fold_probs):
         if not folds:
             raise EmptyInput(f"method {method_idx} has no folds")
+        if any(len(fold) != len(REGIONS) for fold in folds):
+            raise RegionMismatch(f"method {method_idx}: every fold must be an (ET, TC, WT) triple")
         # average_probabilities rejects a slot whose folds disagree on the
         # region, and decompose_regions a slot order other than ET, TC, WT.
         masks = [binarize(average_probabilities(list(slot)), FOLD_PROBABILITY_THRESHOLD)

@@ -20,13 +20,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, fields
 from difflib import SequenceMatcher
 from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, GbmsegError, NoMatchedCases, UnreadableVolume
+from .errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, UnreadableVolume
 from .metrics import CaseMetrics, EmptyMaskPolicy, evaluate_case
 from .nifti_io import read_volume
 from .volume import REGIONS, LabelVolume, Region
@@ -146,11 +147,25 @@ def pair_cases(
     return sorted(pairs)
 
 
+def _csv_rows(reader: csv.DictReader, path):
+    """Yield the rows of ``reader``; a row whose field count differs from
+    the header's raises IoFailure naming the file and line."""
+    for row in reader:
+        if None in row or None in row.values():
+            raise IoFailure(
+                f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields")
+        yield row
+
+
 def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     base = manifest.parent
     pairs = []
     with open(manifest, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
+        reader = csv.DictReader(fh)
+        missing = sorted({"case_id", "pred", "gt"} - set(reader.fieldnames or ()))
+        if missing:
+            raise IoFailure(f"{manifest}: manifest has no column {', '.join(missing)}")
+        for row in _csv_rows(reader, manifest):
             pred = Path(row["pred"])
             gt = Path(row["gt"])
             pairs.append((
@@ -281,18 +296,26 @@ def write_metrics_csv(cases: list[CaseMetrics], path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def read_metrics_csv(path) -> list[CaseMetrics]:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise EmptyInput(f"{path}: not a metrics CSV (columns {reader.fieldnames})")
-        return [
-            CaseMetrics(
-                case_id=row["case_id"],
-                **{k: float(row[k]) for k in CSV_COLUMNS[1:]},
-            )
-            for row in reader
-        ]
+        cases = []
+        for row in _csv_rows(reader, path):
+            try:
+                values = {k: _finite(row[k]) for k in CSV_COLUMNS[1:]}
+            except ValueError as err:
+                raise IoFailure(f"{path}: line {reader.line_num}: {err}") from err
+            cases.append(CaseMetrics(case_id=row["case_id"], **values))
+        return cases
 
 
 def render_aggregate_table(report: AggregateReport) -> str:

@@ -61,7 +61,6 @@ class NiftiHeader:
     affine: np.ndarray
     scale_slope: float = 1.0
     scale_intercept: float = 0.0
-    magic: str = "n+1"
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
@@ -70,8 +69,6 @@ class NiftiHeader:
             raise UnsupportedDatatype(f"datatype code {self.datatype_code}")
         if not (math.isfinite(self.scale_slope) and math.isfinite(self.scale_intercept)):
             raise ValueError("scl_slope and scl_inter must be finite")
-        if self.magic != "n+1":
-            raise NotNifti(f"unsupported magic {self.magic!r}")
         spacing, affine = checked_geometry(self.spacing, self.affine)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", spacing)
@@ -246,12 +243,14 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     round-trip bit-exactly through :func:`read_volume`.  A ``.gz`` suffix
     selects gzip output (mtime pinned to 0 so identical inputs produce
     byte-identical files).  A header whose scaling the reader would apply
-    is refused, since the grid holds values already scaled, and so is
-    geometry the float32 header fields cannot hold.
+    is refused, since the grid holds values already scaled, and so are
+    geometry the float32 header fields cannot hold and dims above 32767.
     """
     path = Path(path)
     if header.dims != grid.dims:
         raise DimensionMismatch(f"header dims {header.dims} != grid dims {grid.dims}")
+    if max(header.dims) > 32767:  # dim[] is an int16 field
+        raise IoFailure(f"cannot write {path}: dims {header.dims} exceed 32767")
     if _rescales(header):
         raise IoFailure(
             f"cannot write {path}: scl_slope {header.scale_slope} and scl_inter "

@@ -105,10 +105,7 @@ class LabelVolume(_Volume):
     @classmethod
     def from_grid(cls, grid: VoxelGrid) -> "LabelVolume":
         """Reinterpret a scalar grid (e.g. freshly read from disk) as labels."""
-        values = grid.values
-        if values.dtype.kind == "f" and not np.array_equal(np.rint(values), values):
-            raise BadLabel("grid holds non-integer values; not a label volume")
-        return cls(values, grid.spacing, grid.affine)
+        return cls(grid.values, grid.spacing, grid.affine)
 
     def to_grid(self) -> VoxelGrid:
         return VoxelGrid(self.labels, self.spacing, self.affine)

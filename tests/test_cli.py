@@ -1,6 +1,7 @@
 import gzip
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from gbmseg.nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, writ
 from gbmseg.volume import LabelVolume, VoxelGrid
 
 from phantoms import ball, mask_dice, nested_label_phantom, noisy_rater_labels
+
+GOLDEN_DIR = Path(__file__).with_name("golden")
 
 
 def write_labels(path, labels: LabelVolume):
@@ -104,6 +107,15 @@ class TestAugment:
         assert main(["augment", str(src), "--seed", "3", "--out", str(out), "--labels"]) == 0
         _, grid = read_volume(out)
         assert set(np.unique(grid.values)) <= {0, 1, 2, 4}
+
+    def test_stdout_golden_bytes(self, tmp_path, capsys):
+        src = tmp_path / "lab.nii"
+        write_labels(src, nested_label_phantom(dims=(12, 12, 12), wt_radius=4,
+                                               tc_radius=3, et_radius=2))
+        out = str(tmp_path / "aug.nii")
+        assert main(["augment", str(src), "--seed", "9", "--out", out]) == 0
+        assert main(["augment", str(src), "--seed", "11", "--out", out, "--labels"]) == 0
+        assert capsys.readouterr().out == (GOLDEN_DIR / "augment_stdout.txt").read_text("utf-8")
 
 
 class TestFuse:
@@ -233,3 +245,32 @@ class TestEvaluateAndReport:
                        "a,1.00,1.00,1.00,0.0000,0.0000,0.0000\n")
         assert main(["report", str(csv), "--names", "a", "b",
                      "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize("row", [
+        "a,n/a,1.00,1.00,0.0000,0.0000,0.0000",
+        "a,nan,1.00,1.00,0.0000,0.0000,0.0000",
+        "a,1.00,1.00,1.00,inf,0.0000,0.0000",
+        "a,1.00,1.00",
+        "a,1.00,1.00,1.00,0.0000,0.0000,0.0000,9",
+    ], ids=["bad_cell", "nan_cell", "inf_cell", "short_row", "long_row"])
+    def test_malformed_metrics_csv_is_data_error(self, tmp_path, capsys, row):
+        csv = tmp_path / "m.csv"
+        csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+                       "b,1.00,1.00,1.00,0.0000,0.0000,0.0000\n" + row + "\n")
+        assert main(["report", str(csv), "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err and "line 3" in err
+
+    @pytest.mark.parametrize("text,named", [
+        ("pred,gt\nmethod0/case_000.nii.gz,gt/case_000.nii.gz\n", "case_id"),
+        ("case_id,pred,gt\ncase_000,method0/case_000.nii.gz\n", "line 2"),
+    ], ids=["no_case_id_column", "short_row"])
+    def test_malformed_manifest_is_data_error(self, phantom_dirs, tmp_path, capsys, text, named):
+        method_dirs, gt_dir = phantom_dirs
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(text)
+        code = main(["evaluate", "--pred", str(method_dirs[0]), "--gt", str(gt_dir),
+                     "--out", str(tmp_path / "e"), "--manifest", str(manifest)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(manifest) in err and named in err

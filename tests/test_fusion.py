@@ -15,6 +15,7 @@ from gbmseg.errors import (
     TooManyRaters,
 )
 from gbmseg.fusion import (
+    STAPLE_CLAMP,
     StapleConfig,
     average_probabilities,
     ensemble_pipeline,
@@ -112,8 +113,8 @@ class TestStapleBinary:
         result = staple_binary([mask(m)] * 3, cfg)
         assert np.array_equal(result.consensus.member, m)
         for perf in result.performances:
-            assert perf.sensitivity == pytest.approx(1.0 - cfg.clamp)
-            assert perf.specificity == pytest.approx(1.0 - cfg.clamp)
+            assert perf.sensitivity == pytest.approx(1.0 - STAPLE_CLAMP)
+            assert perf.specificity == pytest.approx(1.0 - STAPLE_CLAMP)
 
     @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
     def test_matches_linear_space_reference_equations(self, prior_mode):
@@ -251,8 +252,8 @@ class TestStapleBinary:
         raters.append(mask(np.zeros_like(truth)))  # rater 63: bit 63 never set
         result = staple_binary(raters)
         assert np.array_equal(result.consensus.member, truth)
-        assert result.performances[-1].sensitivity == pytest.approx(StapleConfig().clamp)
-        assert result.performances[-1].specificity == pytest.approx(1.0 - StapleConfig().clamp)
+        assert result.performances[-1].sensitivity == pytest.approx(STAPLE_CLAMP)
+        assert result.performances[-1].specificity == pytest.approx(1.0 - STAPLE_CLAMP)
 
 
 def _prior_for(decisions: np.ndarray, prior_mode) -> np.ndarray:
@@ -464,6 +465,10 @@ class TestEnsemblePipeline:
         # folds of one method that disagree within a slot
         with pytest.raises(RegionMismatch):
             ensemble_pipeline([[(et, tc, wt), (tc, et, wt)], [(et, tc, wt)]])
+        # folds that are not (ET, TC, WT) triples
+        for folds in ([(et, tc)], [(et, tc, wt, et)], [(et, tc, wt), (et, tc, wt, et)]):
+            with pytest.raises(RegionMismatch):
+                ensemble_pipeline([folds, [(et, tc, wt)]])
 
     def test_deterministic(self):
         rng = np.random.default_rng(12)
