@@ -6,7 +6,8 @@ filename stem (the name minus ``.nii``/``.nii.gz``); files that do not
 match exactly fall back to the unique longest-common-substring partner
 (at least 4 characters).  Unpaired or ambiguous files are reported as
 warnings and skipped.  An explicit manifest CSV (columns
-``case_id,pred,gt``) overrides the rule entirely.
+``case_id,pred,gt``, each case_id on one row only) overrides the rule
+entirely.
 
 Report shapes: the per-case CSV has the fixed column set
 ``case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt`` (UTF-8, header
@@ -160,16 +161,22 @@ def _csv_rows(reader: csv.DictReader, path):
 def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     base = manifest.parent
     pairs = []
+    first_line: dict[str, int] = {}
     with open(manifest, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = sorted({"case_id", "pred", "gt"} - set(reader.fieldnames or ()))
         if missing:
             raise IoFailure(f"{manifest}: manifest has no column {', '.join(missing)}")
         for row in _csv_rows(reader, manifest):
+            case_id = row["case_id"]
+            if case_id in first_line:
+                raise IoFailure(f"{manifest}: line {reader.line_num}: case_id {case_id!r} "
+                                f"already given on line {first_line[case_id]}")
+            first_line[case_id] = reader.line_num
             pred = Path(row["pred"])
             gt = Path(row["gt"])
             pairs.append((
-                row["case_id"],
+                case_id,
                 pred if pred.is_absolute() else base / pred,
                 gt if gt.is_absolute() else base / gt,
             ))
@@ -296,10 +303,15 @@ def write_metrics_csv(cases: list[CaseMetrics], path) -> None:
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
 
 
-def _finite(text: str) -> float:
+def _metric_value(column: str, text: str) -> float:
+    """One metrics-CSV cell: a finite DSC in [0, 100] or a finite HD95 >= 0."""
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
+    if column.startswith("dsc") and not 0.0 <= value <= 100.0:
+        raise ValueError(f"{column} {text} outside [0, 100]")
+    if column.startswith("hd95") and value < 0.0:
+        raise ValueError(f"{column} {text} is negative")
     return value
 
 
@@ -311,7 +323,7 @@ def read_metrics_csv(path) -> list[CaseMetrics]:
         cases = []
         for row in _csv_rows(reader, path):
             try:
-                values = {k: _finite(row[k]) for k in CSV_COLUMNS[1:]}
+                values = {k: _metric_value(k, row[k]) for k in CSV_COLUMNS[1:]}
             except ValueError as err:
                 raise IoFailure(f"{path}: line {reader.line_num}: {err}") from err
             cases.append(CaseMetrics(case_id=row["case_id"], **values))

@@ -9,7 +9,14 @@ empty masks):
 * Surfaces are mask voxels with at least one 6-connected neighbor outside
   the mask; grid-boundary voxels count their out-of-grid sides as outside.
 * HD95 is the linearly interpolated 95th percentile of the combined
-  bidirectional surface-distance multiset, in mm.
+  bidirectional surface-distance multiset, in mm.  It is computed on the
+  bounding box of the union of the two masks, padded by one voxel and
+  clipped to the grid, so its cost scales with the tumour, not the grid.
+  The crop is exact: every surface voxel, and so every voxel a distance
+  is measured to, lies inside the box; the empty margin means erosion
+  meets the array border only at true grid edges, so the grid-boundary
+  rule above is unchanged; and the distance transform compares only
+  index differences, which a crop does not change.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from .volume import (
     ProbabilityVolume,
     Region,
     RegionMask,
+    bounding_box,
     compose_regions,
     require_same_geometry,
 )
@@ -132,8 +140,10 @@ def hd95(a: RegionMask, b: RegionMask, policy: EmptyMaskPolicy = EmptyMaskPolicy
         return policy.both_empty_hd95
     if na == 0 or nb == 0:
         return policy.one_empty_hd95_penalty
-    surf_a = _surface(a.member)
-    surf_b = _surface(b.member)
+    # Exact on the padded union box; see the module docstring.
+    box = bounding_box(a.member | b.member, margin=1)
+    surf_a = _surface(a.member[box])
+    surf_b = _surface(b.member[box])
     spacing = np.asarray(a.spacing, dtype=np.float64)
     # EDT of the complement gives, at every voxel, the distance to the
     # nearest surface voxel of the other mask.

@@ -14,7 +14,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import BadAngle, GeometryMismatch, NoBrainVoxels, ZeroVariance
-from .volume import VoxelGrid, require_same_geometry
+from .volume import VoxelGrid, bounding_box, require_same_geometry
 
 DEFAULT_TARGET_DIMS = (192, 224, 160)
 
@@ -66,15 +66,10 @@ def brain_bounding_box(modalities: list[VoxelGrid]) -> BoundingBox:
     support = np.zeros(modalities[0].dims, dtype=bool)
     for grid in modalities:
         support |= grid.values != 0
-    if not support.any():
+    box = bounding_box(support)
+    if box is None:
         raise NoBrainVoxels("every voxel is zero in all modalities")
-    low, high = [], []
-    for axis in range(3):
-        hit = np.any(support, axis=tuple(a for a in range(3) if a != axis))
-        idx = np.flatnonzero(hit)
-        low.append(int(idx[0]))
-        high.append(int(idx[-1]) + 1)
-    return BoundingBox(tuple(low), tuple(high))
+    return BoundingBox(tuple(s.start for s in box), tuple(s.stop for s in box))
 
 
 def crop_and_fit(grid: VoxelGrid, box: BoundingBox, target_dims: tuple[int, int, int]) -> VoxelGrid:

@@ -23,6 +23,9 @@ from .errors import BadLabel, BadThreshold, GeometryMismatch, RegionMismatch
 
 BRATS_LABELS = (0, 1, 2, 4)
 
+# _IS_BRATS_LABEL[v] is True for v in BRATS_LABELS: one gather checks uint8 labels
+_IS_BRATS_LABEL = np.isin(np.arange(256), BRATS_LABELS)
+
 _GEOMETRY_ATOL = 1e-5
 
 
@@ -97,8 +100,12 @@ class LabelVolume(_Volume):
     @staticmethod
     def _checked(labels: np.ndarray) -> np.ndarray:
         # Check before the cast: uint8 would wrap 256 round to 0.
-        if not np.isin(labels, BRATS_LABELS).all():
-            bad = sorted(set(np.unique(labels)) - set(BRATS_LABELS))
+        if labels.dtype == np.uint8:
+            valid = _IS_BRATS_LABEL[labels].all()
+        else:
+            valid = np.isin(labels, BRATS_LABELS).all()
+        if not valid:
+            bad = sorted(set(np.unique(labels).tolist()) - set(BRATS_LABELS))
             raise BadLabel(f"labels outside {{0,1,2,4}}: {bad}")
         return labels.astype(np.uint8, copy=False)
 
@@ -164,6 +171,27 @@ def require_same_geometry(*volumes) -> None:
             raise GeometryMismatch(
                 f"geometry differs: dims {first.dims} vs {other.dims}"
             )
+
+
+def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
+    """Slices of the tightest box holding every True voxel of a 3D mask,
+    widened by ``margin`` voxels on each side and clipped to the grid;
+    None when the mask is empty."""
+    # Reduce along memory order, the fast way for numpy: volumes read from
+    # disk are Fortran-ordered, so scan those through their C-ordered transpose.
+    flip = mask.flags.f_contiguous and not mask.flags.c_contiguous
+    m = mask.T if flip else mask
+    plane = m.any(axis=0)
+    hits = [m.reshape(m.shape[0], -1).any(axis=1), plane.any(axis=1), plane.any(axis=0)]
+    if not hits[0].any():
+        return None
+    if flip:
+        hits.reverse()
+    box = []
+    for hit in hits:
+        idx = np.flatnonzero(hit)
+        box.append(slice(max(int(idx[0]) - margin, 0), min(int(idx[-1]) + 1 + margin, hit.size)))
+    return tuple(box)
 
 
 def compose_regions(labels: LabelVolume) -> tuple[RegionMask, RegionMask, RegionMask]:

@@ -252,7 +252,11 @@ class TestEvaluateAndReport:
         "a,1.00,1.00,1.00,inf,0.0000,0.0000",
         "a,1.00,1.00",
         "a,1.00,1.00,1.00,0.0000,0.0000,0.0000,9",
-    ], ids=["bad_cell", "nan_cell", "inf_cell", "short_row", "long_row"])
+        "a,-50.00,1.00,1.00,0.0000,0.0000,0.0000",
+        "a,1.00,250.00,1.00,0.0000,0.0000,0.0000",
+        "a,1.00,1.00,1.00,0.0000,0.0000,-3.0000",
+    ], ids=["bad_cell", "nan_cell", "inf_cell", "short_row", "long_row",
+            "dsc_below_0", "dsc_above_100", "negative_hd95"])
     def test_malformed_metrics_csv_is_data_error(self, tmp_path, capsys, row):
         csv = tmp_path / "m.csv"
         csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
@@ -264,7 +268,9 @@ class TestEvaluateAndReport:
     @pytest.mark.parametrize("text,named", [
         ("pred,gt\nmethod0/case_000.nii.gz,gt/case_000.nii.gz\n", "case_id"),
         ("case_id,pred,gt\ncase_000,method0/case_000.nii.gz\n", "line 2"),
-    ], ids=["no_case_id_column", "short_row"])
+        ("case_id,pred,gt\ncase_000,method0/case_000.nii.gz,gt/case_000.nii.gz\n"
+         "case_000,method0/case_001.nii.gz,gt/case_001.nii.gz\n", "line 3"),
+    ], ids=["no_case_id_column", "short_row", "repeated_case_id"])
     def test_malformed_manifest_is_data_error(self, phantom_dirs, tmp_path, capsys, text, named):
         method_dirs, gt_dir = phantom_dirs
         manifest = tmp_path / "manifest.csv"

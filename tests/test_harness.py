@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gbmseg.cli import main
-from gbmseg.errors import EmptyInput, NoMatchedCases, UnreadableVolume
+from gbmseg.errors import EmptyInput, IoFailure, NoMatchedCases, UnreadableVolume
 from gbmseg.harness import (
     CSV_COLUMNS,
     RANK_STRATEGIES,
@@ -251,6 +251,15 @@ class TestPairCases:
         manifest.write_text("case_id,pred,gt\ncase9,p/anything.nii.gz,g/else.nii.gz\n")
         pairs = pair_cases(pred, gt, manifest=manifest)
         assert pairs == [("case9", pred / "anything.nii.gz", gt / "else.nii.gz")]
+
+    def test_manifest_repeating_a_case_id_is_rejected(self, tmp_path):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("case_id,pred,gt\n"
+                            "case9,p/a.nii.gz,g/a.nii.gz\n"
+                            "case8,p/b.nii.gz,g/b.nii.gz\n"
+                            "case9,p/c.nii.gz,g/c.nii.gz\n")
+        with pytest.raises(IoFailure, match=r"manifest\.csv: line 4: .*case9.*line 2"):
+            pair_cases(tmp_path, tmp_path, manifest=manifest)
 
 
 class TestEvaluateDataset:

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from gbmseg.errors import GeometryMismatch
 from gbmseg.metrics import (
@@ -14,7 +17,7 @@ from gbmseg.metrics import (
 )
 from gbmseg.volume import LabelVolume, ProbabilityVolume, Region, RegionMask
 
-from oracles import hd_percentiles_bruteforce, surface_oracle
+from oracles import hd95_full_grid, hd_percentiles_bruteforce, surface_oracle
 from phantoms import ball
 
 POLICY = EmptyMaskPolicy()
@@ -31,6 +34,32 @@ def random_mask_pair(rng, max_dim=12):
     b = rng.random(dims) < density
     spacing = tuple(float(s) for s in rng.uniform(0.5, 3.0, size=3))
     return mask(a, spacing=spacing), mask(b, spacing=spacing)
+
+
+@st.composite
+def placed_mask_pairs(draw):
+    """Two small random masks placed anywhere in a larger empty grid, each
+    optionally pushed against one of the six grid faces, with anisotropic
+    spacing."""
+    dims = tuple(draw(st.integers(3, 14)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from([0.4, 0.9375, 1.0, 1.5, 2.7])) for _ in range(3))
+
+    def placed():
+        shape = tuple(draw(st.integers(1, min(5, d))) for d in dims)
+        patch = draw(arrays(bool, shape))
+        offset = [draw(st.integers(0, d - s)) for d, s in zip(dims, shape)]
+        face = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+        if face is not None:
+            axis, high = divmod(face, 2)
+            offset[axis] = dims[axis] - shape[axis] if high else 0
+            edge = [slice(None)] * 3
+            edge[axis] = -1 if high else 0
+            patch[tuple(edge)].flat[0] = True
+        member = np.zeros(dims, bool)
+        member[tuple(slice(o, o + s) for o, s in zip(offset, shape))] = patch
+        return mask(member, spacing=spacing)
+
+    return placed(), placed()
 
 
 class TestDice:
@@ -130,6 +159,23 @@ class TestHd95:
             got = hd95(a, b, POLICY)
             assert got == pytest.approx(expected, abs=1e-9)
             assert got <= exact_max + 1e-9
+
+    def test_masks_on_grid_faces_match_bruteforce_oracle(self):
+        a = np.zeros((9, 7, 6), bool)
+        b = np.zeros((9, 7, 6), bool)
+        a[0:3, 2:5, 0:2] = True   # touches the i=0 and k=0 faces
+        b[5:9, 4:7, 3:6] = True   # touches the i, j and k high faces
+        spacing = (0.8, 1.5, 2.2)
+        expected, _ = hd_percentiles_bruteforce(a, b, spacing)
+        got = hd95(mask(a, spacing=spacing), mask(b, spacing=spacing), POLICY)
+        assert got == pytest.approx(expected, abs=1e-9)
+
+    @given(placed_mask_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_union_box_crop_is_exact(self, pair):
+        a, b = pair
+        assert hd95(a, b, POLICY) == hd95_full_grid(a, b, POLICY)
+        assert hd95(b, a, POLICY) == hd95_full_grid(b, a, POLICY)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)

@@ -13,6 +13,7 @@ from gbmseg.volume import (
     RegionMask,
     VoxelGrid,
     binarize,
+    bounding_box,
     compose_regions,
     count_label,
     decompose_regions,
@@ -141,10 +142,42 @@ class TestCountLabel:
             assert total == vol.labels.size
 
 
+class TestBoundingBox:
+    @given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))),
+           st.integers(0, 2), st.booleans())
+    @settings(max_examples=200)
+    def test_matches_voxel_enumeration(self, member, margin, fortran):
+        if fortran:
+            member = np.asfortranarray(member)
+        coords = np.argwhere(member)
+        box = bounding_box(member, margin)
+        if coords.size == 0:
+            assert box is None
+            return
+        low = np.maximum(coords.min(axis=0) - margin, 0)
+        high = np.minimum(coords.max(axis=0) + 1 + margin, member.shape)
+        assert box == tuple(slice(int(l), int(h)) for l, h in zip(low, high))
+
+    def test_margin_clips_at_grid_faces(self):
+        member = np.zeros((5, 6, 7), bool)
+        member[0, 3, 6] = True
+        assert bounding_box(member, margin=1) == (slice(0, 2), slice(2, 5), slice(5, 7))
+
+
 class TestTypes:
     def test_label_volume_rejects_foreign_labels(self):
         with pytest.raises(BadLabel):
             LabelVolume(np.full((2, 2, 2), 3, dtype=np.uint8))
+
+    def test_uint8_labels_accepted_exactly_when_brats(self):
+        for value in range(256):
+            labels = np.zeros((3, 2, 2), dtype=np.uint8)
+            labels[2, 1, 0] = value
+            if value in BRATS_LABELS:
+                assert LabelVolume(labels).labels[2, 1, 0] == value
+            else:
+                with pytest.raises(BadLabel, match=rf"\[{value}\]"):
+                    LabelVolume(labels)
 
     def test_probability_volume_rejects_out_of_range(self):
         for value in (1.2, -0.1, np.nan):
