@@ -10,13 +10,12 @@ empty masks):
   the mask; grid-boundary voxels count their out-of-grid sides as outside.
 * HD95 is the linearly interpolated 95th percentile of the combined
   bidirectional surface-distance multiset, in mm.  It is computed on the
-  bounding box of the union of the two masks, padded by one voxel and
-  clipped to the grid, so its cost scales with the tumour, not the grid.
-  The crop is exact: every surface voxel, and so every voxel a distance
-  is measured to, lies inside the box; the empty margin means erosion
-  meets the array border only at true grid edges, so the grid-boundary
-  rule above is unchanged; and the distance transform compares only
-  index differences, which a crop does not change.
+  bounding box of the union of the two masks, so its cost scales with the
+  tumour, not the grid.  The crop is exact: every surface voxel, and so
+  every voxel a distance is measured to, lies inside the box; outside the
+  box no voxel belongs to either mask, so counting out-of-box neighbours
+  as outside changes no surface voxel; and the distance transform
+  compares only index differences, which a crop does not change.
 """
 
 from __future__ import annotations
@@ -140,8 +139,8 @@ def hd95(a: RegionMask, b: RegionMask, policy: EmptyMaskPolicy = EmptyMaskPolicy
         return policy.both_empty_hd95
     if na == 0 or nb == 0:
         return policy.one_empty_hd95_penalty
-    # Exact on the padded union box; see the module docstring.
-    box = bounding_box(a.member | b.member, margin=1)
+    # Exact on the union box; see the module docstring.
+    box = bounding_box(a.member | b.member)
     surf_a = _surface(a.member[box])
     surf_b = _surface(b.member[box])
     spacing = np.asarray(a.spacing, dtype=np.float64)

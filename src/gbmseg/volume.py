@@ -173,24 +173,16 @@ def require_same_geometry(*volumes) -> None:
             )
 
 
-def bounding_box(mask: np.ndarray, margin: int = 0) -> tuple[slice, slice, slice] | None:
-    """Slices of the tightest box holding every True voxel of a 3D mask,
-    widened by ``margin`` voxels on each side and clipped to the grid;
+def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """Slices of the tightest box holding every True voxel of a 3D mask;
     None when the mask is empty."""
-    # Reduce along memory order, the fast way for numpy: volumes read from
-    # disk are Fortran-ordered, so scan those through their C-ordered transpose.
-    flip = mask.flags.f_contiguous and not mask.flags.c_contiguous
-    m = mask.T if flip else mask
-    plane = m.any(axis=0)
-    hits = [m.reshape(m.shape[0], -1).any(axis=1), plane.any(axis=1), plane.any(axis=0)]
-    if not hits[0].any():
-        return None
-    if flip:
-        hits.reverse()
     box = []
-    for hit in hits:
+    for axis in range(3):
+        hit = np.any(mask, axis=tuple(a for a in range(3) if a != axis))
         idx = np.flatnonzero(hit)
-        box.append(slice(max(int(idx[0]) - margin, 0), min(int(idx[-1]) + 1 + margin, hit.size)))
+        if idx.size == 0:
+            return None
+        box.append(slice(int(idx[0]), int(idx[-1]) + 1))
     return tuple(box)
 
 

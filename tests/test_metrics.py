@@ -40,7 +40,7 @@ def random_mask_pair(rng, max_dim=12):
 def placed_mask_pairs(draw):
     """Two small random masks placed anywhere in a larger empty grid, each
     optionally pushed against one of the six grid faces, with anisotropic
-    spacing."""
+    spacing, in C or Fortran order (volumes read from disk are Fortran)."""
     dims = tuple(draw(st.integers(3, 14)) for _ in range(3))
     spacing = tuple(draw(st.sampled_from([0.4, 0.9375, 1.0, 1.5, 2.7])) for _ in range(3))
 
@@ -57,6 +57,8 @@ def placed_mask_pairs(draw):
             patch[tuple(edge)].flat[0] = True
         member = np.zeros(dims, bool)
         member[tuple(slice(o, o + s) for o, s in zip(offset, shape))] = patch
+        if draw(st.booleans()):
+            member = np.asfortranarray(member)
         return mask(member, spacing=spacing)
 
     return placed(), placed()

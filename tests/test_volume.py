@@ -143,25 +143,17 @@ class TestCountLabel:
 
 
 class TestBoundingBox:
-    @given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))),
-           st.integers(0, 2), st.booleans())
+    @given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))))
     @settings(max_examples=200)
-    def test_matches_voxel_enumeration(self, member, margin, fortran):
-        if fortran:
-            member = np.asfortranarray(member)
+    def test_matches_voxel_enumeration(self, member):
         coords = np.argwhere(member)
-        box = bounding_box(member, margin)
+        box = bounding_box(member)
         if coords.size == 0:
             assert box is None
             return
-        low = np.maximum(coords.min(axis=0) - margin, 0)
-        high = np.minimum(coords.max(axis=0) + 1 + margin, member.shape)
+        low = coords.min(axis=0)
+        high = coords.max(axis=0) + 1
         assert box == tuple(slice(int(l), int(h)) for l, h in zip(low, high))
-
-    def test_margin_clips_at_grid_faces(self):
-        member = np.zeros((5, 6, 7), bool)
-        member[0, 3, 6] = True
-        assert bounding_box(member, margin=1) == (slice(0, 2), slice(2, 5), slice(5, 7))
 
 
 class TestTypes:
