@@ -29,7 +29,7 @@ from .harness import (
     write_metrics_csv,
 )
 from .nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
-from .postprocess import PostprocessConfig, et_threshold_relabel
+from .postprocess import et_threshold_relabel
 from .preprocess import (
     DEFAULT_TARGET_DIMS,
     apply_augmentation,
@@ -94,7 +94,6 @@ def _cmd_fuse(args) -> None:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")
 
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
-    post_cfg = PostprocessConfig(et_threshold=args.et_threshold)
     for case_id in common:
         raters = [read_labels(d[case_id], case_id) for d in per_dir]
         if args.method == "vote":
@@ -103,7 +102,7 @@ def _cmd_fuse(args) -> None:
             fused = mean_regions(raters)
         else:
             fused = staple_regions(raters, staple_cfg)
-        fused = et_threshold_relabel(fused, post_cfg)
+        fused = et_threshold_relabel(fused, args.et_threshold)
         _write_labels(out_dir / f"{case_id}.nii.gz", fused)
     print(f"fused {len(common)} case(s) with method={args.method} to {out_dir}")
 

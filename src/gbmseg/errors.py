@@ -47,10 +47,6 @@ class RegionMismatch(GbmsegError):
     """Region tags differ where a single region was expected."""
 
 
-class BadThreshold(GbmsegError):
-    """Probability threshold outside [0, 1]."""
-
-
 class BadLabel(GbmsegError):
     """Label value outside the BraTS set {0, 1, 2, 4}."""
 

@@ -24,7 +24,7 @@ from .errors import (
     TooFewRaters,
     TooManyRaters,
 )
-from .postprocess import PostprocessConfig, et_threshold_relabel
+from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from .volume import (
     BRATS_LABELS,
     REGIONS,
@@ -37,7 +37,6 @@ from .volume import (
     require_same_geometry,
 )
 
-FOLD_PROBABILITY_THRESHOLD = 0.5
 MAX_STAPLE_RATERS = 64
 # STAPLE keeps each rater's sensitivity and specificity inside
 # [STAPLE_CLAMP, 1 - STAPLE_CLAMP], so the E-step never takes log(0) and
@@ -278,7 +277,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         performances=tuple(RaterPerformance(float(p), float(q)) for p, q in zip(sens, spec)),
         iterations=iterations,
         loglik_trace=tuple(trace),
-        consensus=binarize(weight_volume, 0.5),
+        consensus=binarize(weight_volume),
         converged=converged,
         final_delta=delta,
     )
@@ -306,7 +305,7 @@ def staple_regions(methods: list[LabelVolume], cfg: StapleConfig = StapleConfig(
 def ensemble_pipeline(
     per_method_fold_probs: list[list[tuple[ProbabilityVolume, ProbabilityVolume, ProbabilityVolume]]],
     cfg: StapleConfig = StapleConfig(),
-    post: PostprocessConfig = PostprocessConfig(),
+    et_threshold: int = DEFAULT_ET_THRESHOLD,
 ) -> LabelVolume:
     """Full fusion pipeline across methods and cross-validation folds.
 
@@ -327,8 +326,7 @@ def ensemble_pipeline(
             raise RegionMismatch(f"method {method_idx}: every fold must be an (ET, TC, WT) triple")
         # average_probabilities rejects a slot whose folds disagree on the
         # region, and decompose_regions a slot order other than ET, TC, WT.
-        masks = [binarize(average_probabilities(list(slot)), FOLD_PROBABILITY_THRESHOLD)
-                 for slot in zip(*folds)]
+        masks = [binarize(average_probabilities(list(slot))) for slot in zip(*folds)]
         method_labels.append(decompose_regions(*masks))
     fused = staple_regions(method_labels, cfg)
-    return et_threshold_relabel(fused, post)
+    return et_threshold_relabel(fused, et_threshold)

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, UnreadableVolume
-from .metrics import CaseMetrics, EmptyMaskPolicy, evaluate_case
+from .metrics import CaseMetrics, evaluate_case
 from .nifti_io import read_volume
 from .volume import REGIONS, LabelVolume, Region
 
@@ -192,12 +192,7 @@ def read_labels(path, case_id: str) -> LabelVolume:
         raise UnreadableVolume(f"case {case_id}: {path}: {err}") from err
 
 
-def evaluate_dataset(
-    pred_dir,
-    gt_dir,
-    policy: EmptyMaskPolicy = EmptyMaskPolicy(),
-    manifest=None,
-) -> list[CaseMetrics]:
+def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
     """Evaluate every matched prediction/ground-truth pair in two trees."""
     pairs = pair_cases(pred_dir, gt_dir, manifest)
     if not pairs:
@@ -206,7 +201,7 @@ def evaluate_dataset(
     for case_id, pred_path, gt_path in pairs:
         pred = read_labels(pred_path, case_id)
         gt = read_labels(gt_path, case_id)
-        results.append(evaluate_case(pred, gt, policy, case_id=case_id))
+        results.append(evaluate_case(pred, gt, case_id=case_id))
     return results
 
 

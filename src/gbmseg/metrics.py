@@ -2,9 +2,10 @@
 distance over mask surfaces, and the combined soft-Dice / cross-entropy
 score used to train the region-based models.
 
-Conventions (all configurable through EmptyMaskPolicy where they concern
-empty masks):
+Conventions:
 
+* Empty masks follow the challenge convention: both empty scores DSC 100
+  and HD95 0; exactly one empty scores DSC 0 and HD95 373.1287 mm.
 * Dice is reported as a percentage in [0, 100].
 * Surfaces are mask voxels with at least one 6-connected neighbor outside
   the mask; grid-boundary voxels count their out-of-grid sides as outside.
@@ -39,42 +40,14 @@ _SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
 
 LOG_CLAMP = 1e-12
 
+# The challenge convention for empty masks: a correctly predicted absence
+# is a perfect result, and a missed or spurious region costs a fixed HD95.
+BOTH_EMPTY_DSC = 100.0
+BOTH_EMPTY_HD95 = 0.0
+ONE_EMPTY_HD95_PENALTY = 373.1287
 
-@dataclass(frozen=True)
-class EmptyMaskPolicy:
-    """What to report when one or both masks of a pair are empty.
-
-    The one-sided HD95 penalty is the challenge-community convention
-    constant; both-empty defaults treat a correctly predicted absence as a
-    perfect result.
-    """
-
-    both_empty_dsc: float = 100.0
-    both_empty_hd95: float = 0.0
-    one_empty_hd95_penalty: float = 373.1287
-
-    def __post_init__(self):
-        if self.one_empty_hd95_penalty <= 0:
-            raise ValueError("one_empty_hd95_penalty must be positive")
-
-
-@dataclass(frozen=True)
-class LossConfig:
-    """Smoothing and form selection for the combined soft-Dice + CE score.
-
-    ``form="literal"`` evaluates the published expression as printed
-    (Dice similarity plus cross-entropy); ``form="conventional"`` returns
-    the standard minimization objective (1 - Dice) + CE.
-    """
-
-    epsilon: float = 1e-5
-    form: str = "literal"
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
-        if self.form not in ("literal", "conventional"):
-            raise ValueError(f"form must be literal or conventional, got {self.form!r}")
+# Smoothing term of the soft Dice in soft_dice_ce.
+SOFT_DICE_EPSILON = 1e-5
 
 
 @dataclass(frozen=True)
@@ -96,13 +69,13 @@ class CaseMetrics:
         return getattr(self, f"hd95_{region.value.lower()}")
 
 
-def dice(a: RegionMask, b: RegionMask, policy: EmptyMaskPolicy = EmptyMaskPolicy()) -> float:
+def dice(a: RegionMask, b: RegionMask) -> float:
     """Dice similarity 100 * 2|A∩B| / (|A|+|B|), in percent."""
     require_same_geometry(a, b)
     na = int(np.count_nonzero(a.member))
     nb = int(np.count_nonzero(b.member))
     if na == 0 and nb == 0:
-        return policy.both_empty_dsc
+        return BOTH_EMPTY_DSC
     if na == 0 or nb == 0:
         return 0.0
     inter = int(np.count_nonzero(a.member & b.member))
@@ -124,7 +97,7 @@ def surface_voxels(m: RegionMask) -> np.ndarray:
     return np.argwhere(_surface(m.member))
 
 
-def hd95(a: RegionMask, b: RegionMask, policy: EmptyMaskPolicy = EmptyMaskPolicy()) -> float:
+def hd95(a: RegionMask, b: RegionMask) -> float:
     """95th-percentile symmetric surface distance in mm.
 
     Each surface voxel of one mask contributes its Euclidean distance (in
@@ -136,9 +109,9 @@ def hd95(a: RegionMask, b: RegionMask, policy: EmptyMaskPolicy = EmptyMaskPolicy
     na = int(np.count_nonzero(a.member))
     nb = int(np.count_nonzero(b.member))
     if na == 0 and nb == 0:
-        return policy.both_empty_hd95
+        return BOTH_EMPTY_HD95
     if na == 0 or nb == 0:
-        return policy.one_empty_hd95_penalty
+        return ONE_EMPTY_HD95_PENALTY
     # Exact on the union box; see the module docstring.
     box = bounding_box(a.member | b.member)
     surf_a = _surface(a.member[box])
@@ -152,37 +125,37 @@ def hd95(a: RegionMask, b: RegionMask, policy: EmptyMaskPolicy = EmptyMaskPolicy
     return float(np.percentile(distances, 95))
 
 
-def soft_dice_ce(p: ProbabilityVolume, y: RegionMask, cfg: LossConfig = LossConfig()) -> float:
+def soft_dice_ce(p: ProbabilityVolume, y: RegionMask, form: str = "literal") -> float:
     """Combined soft-Dice and cross-entropy score of a prediction.
 
-    Probabilities are clamped to [1e-12, 1 - 1e-12] before the logarithm.
+    ``form="literal"`` evaluates the published expression as printed
+    (Dice similarity plus cross-entropy); ``form="conventional"`` returns
+    the standard minimization objective (1 - Dice) + CE.  Probabilities are
+    clamped to [1e-12, 1 - 1e-12] before the logarithm.
     """
+    if form not in ("literal", "conventional"):
+        raise ValueError(f"form must be literal or conventional, got {form!r}")
     require_same_geometry(p, y)
     pv = p.prob
     yv = y.member.astype(np.float64)
     inter = float((yv * pv).sum())
     sum_y = float(yv.sum())
     sum_p = float(pv.sum())
-    dice_term = (2.0 * inter + cfg.epsilon) / (sum_y + sum_p + cfg.epsilon)
+    dice_term = (2.0 * inter + SOFT_DICE_EPSILON) / (sum_y + sum_p + SOFT_DICE_EPSILON)
     clamped = np.clip(pv, LOG_CLAMP, 1.0 - LOG_CLAMP)
     cross_entropy = float(-(yv * np.log(clamped)).sum())
-    if cfg.form == "literal":
+    if form == "literal":
         return dice_term + cross_entropy
     return (1.0 - dice_term) + cross_entropy
 
 
-def evaluate_case(
-    pred: LabelVolume,
-    gt: LabelVolume,
-    policy: EmptyMaskPolicy = EmptyMaskPolicy(),
-    case_id: str = "",
-) -> CaseMetrics:
+def evaluate_case(pred: LabelVolume, gt: LabelVolume, case_id: str = "") -> CaseMetrics:
     """Per-region DSC and HD95 of a predicted label volume against truth."""
     require_same_geometry(pred, gt)
     pred_masks = compose_regions(pred)
     gt_masks = compose_regions(gt)
     values: dict[str, float] = {}
     for pm, gm, region in zip(pred_masks, gt_masks, (r.value.lower() for r in Region)):
-        values[f"dsc_{region}"] = dice(pm, gm, policy)
-        values[f"hd95_{region}"] = hd95(pm, gm, policy)
+        values[f"dsc_{region}"] = dice(pm, gm)
+        values[f"hd95_{region}"] = hd95(pm, gm)
     return CaseMetrics(case_id=case_id, **values)

@@ -10,8 +10,6 @@ that trade-off is intentional.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .volume import LabelVolume, count_label
@@ -19,17 +17,8 @@ from .volume import LabelVolume, count_label
 DEFAULT_ET_THRESHOLD = 200
 
 
-@dataclass(frozen=True)
-class PostprocessConfig:
-    et_threshold: int = DEFAULT_ET_THRESHOLD
-
-    def __post_init__(self):
-        if self.et_threshold < 0:
-            raise ValueError("et_threshold must be non-negative")
-
-
 def et_threshold_relabel(
-    labels: LabelVolume, cfg: PostprocessConfig = PostprocessConfig()
+    labels: LabelVolume, et_threshold: int = DEFAULT_ET_THRESHOLD
 ) -> LabelVolume:
     """Re-label all ET voxels as necrotic when strictly below the threshold.
 
@@ -37,8 +26,10 @@ def et_threshold_relabel(
     returned unchanged; the operation is idempotent and never alters the
     TC or WT masks.
     """
+    if et_threshold < 0:
+        raise ValueError("et_threshold must be non-negative")
     n_et = count_label(labels, 4)
-    if n_et == 0 or n_et >= cfg.et_threshold:
+    if n_et == 0 or n_et >= et_threshold:
         return labels
     relabeled = np.where(labels.labels == 4, 1, labels.labels).astype(np.uint8)
     return LabelVolume(relabeled, labels.spacing, labels.affine)

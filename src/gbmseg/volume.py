@@ -19,7 +19,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import BadLabel, BadThreshold, GeometryMismatch, RegionMismatch
+from .errors import BadLabel, GeometryMismatch, RegionMismatch
 
 BRATS_LABELS = (0, 1, 2, 4)
 
@@ -223,11 +223,9 @@ def decompose_regions(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelVo
     return LabelVolume(lab, et.spacing, et.affine)
 
 
-def binarize(prob: ProbabilityVolume, threshold: float) -> RegionMask:
-    """Threshold a probability volume into a hard mask (membership at >=)."""
-    if not 0.0 <= threshold <= 1.0:
-        raise BadThreshold(f"threshold must lie in [0, 1], got {threshold}")
-    return RegionMask(prob.prob >= threshold, prob.region, prob.spacing, prob.affine)
+def binarize(prob: ProbabilityVolume) -> RegionMask:
+    """Threshold a probability volume at 0.5 into a hard mask (membership at >=)."""
+    return RegionMask(prob.prob >= 0.5, prob.region, prob.spacing, prob.affine)
 
 
 def count_label(labels: LabelVolume, label: int) -> int:

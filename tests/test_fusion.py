@@ -24,7 +24,6 @@ from gbmseg.fusion import (
     staple_binary,
     staple_regions,
 )
-from gbmseg.postprocess import PostprocessConfig
 from gbmseg.volume import (
     REGIONS,
     LabelVolume,
@@ -452,7 +451,7 @@ class TestEnsemblePipeline:
     def test_small_et_is_postprocessed_away(self):
         truth = nested_label_phantom(et_radius=2.0)  # ~33 ET voxels < 200
         methods = [[region_triple(truth)] for _ in range(2)]
-        fused = ensemble_pipeline(methods, post=PostprocessConfig(et_threshold=200))
+        fused = ensemble_pipeline(methods, et_threshold=200)
         assert (fused.labels != 4).all()
         # the would-be ET voxels fold into TC (label 1)
         assert (fused.labels[truth.labels == 4] == 1).all()
@@ -476,6 +475,6 @@ class TestEnsemblePipeline:
         methods = [
             [region_triple(truth, rng, noise=0.25) for _ in range(3)] for _ in range(3)
         ]
-        first = ensemble_pipeline(methods, post=PostprocessConfig(et_threshold=10))
-        second = ensemble_pipeline(methods, post=PostprocessConfig(et_threshold=10))
+        first = ensemble_pipeline(methods, et_threshold=10)
+        second = ensemble_pipeline(methods, et_threshold=10)
         assert np.array_equal(first.labels, second.labels)

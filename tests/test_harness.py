@@ -25,7 +25,7 @@ from gbmseg.harness import (
     write_json,
     write_metrics_csv,
 )
-from gbmseg.metrics import CaseMetrics, EmptyMaskPolicy
+from gbmseg.metrics import CaseMetrics
 from gbmseg.nifti_io import DT_UINT8, NiftiHeader, write_volume
 from gbmseg.volume import REGIONS, Region
 
@@ -306,7 +306,7 @@ class TestEvaluateDataset:
         truth = nested_label_phantom(dims=(16, 16, 16), wt_radius=6, tc_radius=4, et_radius=2.5)
         write_label_file(pred / "c.nii.gz", truth)
         write_label_file(gt / "c.nii.gz", truth)
-        (metrics,) = evaluate_dataset(pred, gt, EmptyMaskPolicy())
+        (metrics,) = evaluate_dataset(pred, gt)
         assert metrics.dsc_et == metrics.dsc_tc == metrics.dsc_wt == 100.0
         assert metrics.hd95_et == metrics.hd95_tc == metrics.hd95_wt == 0.0
 

@@ -7,8 +7,6 @@ from hypothesis.extra.numpy import arrays
 from gbmseg.errors import GeometryMismatch
 from gbmseg.metrics import (
     CaseMetrics,
-    EmptyMaskPolicy,
-    LossConfig,
     dice,
     evaluate_case,
     hd95,
@@ -19,9 +17,6 @@ from gbmseg.volume import LabelVolume, ProbabilityVolume, Region, RegionMask
 
 from oracles import hd95_full_grid, hd_percentiles_bruteforce, surface_oracle
 from phantoms import ball
-
-POLICY = EmptyMaskPolicy()
-
 
 def mask(values, region=Region.WT, spacing=(1.0, 1.0, 1.0)):
     return RegionMask(np.asarray(values, dtype=bool), region, spacing)
@@ -67,35 +62,34 @@ def placed_mask_pairs(draw):
 class TestDice:
     def test_identical_masks(self):
         m = mask(ball((8, 8, 8), 3.0))
-        assert dice(m, m, POLICY) == 100.0
+        assert dice(m, m) == 100.0
 
     def test_hand_counted_overlap(self):
         a = np.zeros((10, 1, 1), bool)
         b = np.zeros((10, 1, 1), bool)
         a[0:4] = True            # |A| = 4
         b[1:7] = True            # |B| = 6, overlap voxels 1,2,3
-        assert dice(mask(a), mask(b), POLICY) == pytest.approx(60.0)
+        assert dice(mask(a), mask(b)) == pytest.approx(60.0)
 
     def test_one_empty_scores_zero(self):
         a = mask(ball((6, 6, 6), 2.0))
         b = mask(np.zeros((6, 6, 6), bool))
-        assert dice(a, b, POLICY) == 0.0
-        assert dice(b, a, POLICY) == 0.0
+        assert dice(a, b) == 0.0
+        assert dice(b, a) == 0.0
 
     def test_both_empty_uses_policy(self):
         e = mask(np.zeros((4, 4, 4), bool))
-        assert dice(e, e, POLICY) == 100.0
-        assert dice(e, e, EmptyMaskPolicy(both_empty_dsc=0.0)) == 0.0
+        assert dice(e, e) == 100.0
 
     def test_symmetry(self):
         rng = np.random.default_rng(0)
         for _ in range(10):
             a, b = random_mask_pair(rng)
-            assert dice(a, b, POLICY) == dice(b, a, POLICY)
+            assert dice(a, b) == dice(b, a)
 
     def test_geometry_mismatch(self):
         with pytest.raises(GeometryMismatch):
-            dice(mask(np.zeros((2, 2, 2), bool)), mask(np.zeros((3, 2, 2), bool)), POLICY)
+            dice(mask(np.zeros((2, 2, 2), bool)), mask(np.zeros((3, 2, 2), bool)))
 
 
 class TestSurfaceVoxels:
@@ -132,24 +126,24 @@ class TestSurfaceVoxels:
 class TestHd95:
     def test_identical_masks(self):
         m = mask(ball((8, 8, 8), 3.0))
-        assert hd95(m, m, POLICY) == 0.0
+        assert hd95(m, m) == 0.0
 
     def test_three_voxels_apart(self):
         a = np.zeros((8, 1, 1), bool)
         b = np.zeros((8, 1, 1), bool)
         a[1] = True
         b[4] = True
-        assert hd95(mask(a), mask(b), POLICY) == pytest.approx(3.0)
+        assert hd95(mask(a), mask(b)) == pytest.approx(3.0)
 
     def test_one_empty_returns_penalty(self):
         a = mask(ball((6, 6, 6), 2.0))
         b = mask(np.zeros((6, 6, 6), bool))
-        assert hd95(a, b, POLICY) == pytest.approx(373.1287)
-        assert hd95(b, a, POLICY) == pytest.approx(373.1287)
+        assert hd95(a, b) == pytest.approx(373.1287)
+        assert hd95(b, a) == pytest.approx(373.1287)
 
     def test_both_empty(self):
         e = mask(np.zeros((4, 4, 4), bool))
-        assert hd95(e, e, POLICY) == 0.0
+        assert hd95(e, e) == 0.0
 
     def test_matches_bruteforce_oracle(self):
         rng = np.random.default_rng(2)
@@ -158,7 +152,7 @@ class TestHd95:
             if not (a.member.any() and b.member.any()):
                 continue
             expected, exact_max = hd_percentiles_bruteforce(a.member, b.member, a.spacing)
-            got = hd95(a, b, POLICY)
+            got = hd95(a, b)
             assert got == pytest.approx(expected, abs=1e-9)
             assert got <= exact_max + 1e-9
 
@@ -169,32 +163,32 @@ class TestHd95:
         b[5:9, 4:7, 3:6] = True   # touches the i, j and k high faces
         spacing = (0.8, 1.5, 2.2)
         expected, _ = hd_percentiles_bruteforce(a, b, spacing)
-        got = hd95(mask(a, spacing=spacing), mask(b, spacing=spacing), POLICY)
+        got = hd95(mask(a, spacing=spacing), mask(b, spacing=spacing))
         assert got == pytest.approx(expected, abs=1e-9)
 
     @given(placed_mask_pairs())
     @settings(max_examples=300, deadline=None)
     def test_union_box_crop_is_exact(self, pair):
         a, b = pair
-        assert hd95(a, b, POLICY) == hd95_full_grid(a, b, POLICY)
-        assert hd95(b, a, POLICY) == hd95_full_grid(b, a, POLICY)
+        assert hd95(a, b) == hd95_full_grid(a, b)
+        assert hd95(b, a) == hd95_full_grid(b, a)
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
             a, b = random_mask_pair(rng)
-            assert hd95(a, b, POLICY) == pytest.approx(hd95(b, a, POLICY), abs=1e-12)
+            assert hd95(a, b) == pytest.approx(hd95(b, a), abs=1e-12)
 
     def test_spacing_scales_distances(self):
         a = ball((10, 10, 10), 3.0)
         b = ball((10, 10, 10), 4.0)
-        base = hd95(mask(a), mask(b), POLICY)
+        base = hd95(mask(a), mask(b))
         scaled = hd95(
-            mask(a, spacing=(2.0, 2.0, 2.0)), mask(b, spacing=(2.0, 2.0, 2.0)), POLICY
+            mask(a, spacing=(2.0, 2.0, 2.0)), mask(b, spacing=(2.0, 2.0, 2.0))
         )
         assert scaled == pytest.approx(2.0 * base)
-        assert dice(mask(a), mask(b), POLICY) == dice(
-            mask(a, spacing=(2.0, 2.0, 2.0)), mask(b, spacing=(2.0, 2.0, 2.0)), POLICY
+        assert dice(mask(a), mask(b)) == dice(
+            mask(a, spacing=(2.0, 2.0, 2.0)), mask(b, spacing=(2.0, 2.0, 2.0))
         )
 
 
@@ -202,45 +196,47 @@ class TestSoftDiceCe:
     def test_perfect_binary_prediction_literal(self):
         y = ball((8, 8, 8), 3.0)
         p = ProbabilityVolume(y.astype(np.float64), Region.WT)
-        value = soft_dice_ce(p, mask(y), LossConfig(form="literal"))
+        value = soft_dice_ce(p, mask(y), "literal")
         assert value == pytest.approx(1.0, abs=1e-9)
 
     def test_perfect_binary_prediction_conventional(self):
         y = ball((8, 8, 8), 3.0)
         p = ProbabilityVolume(y.astype(np.float64), Region.WT)
-        value = soft_dice_ce(p, mask(y), LossConfig(form="conventional"))
+        value = soft_dice_ce(p, mask(y), "conventional")
         assert value == pytest.approx(0.0, abs=1e-9)
 
     def test_all_zero_truth_literal_reduces_to_smoothing_ratio(self):
         y = np.zeros((4, 4, 4), bool)
         p_values = np.full((4, 4, 4), 0.25)
-        cfg = LossConfig(epsilon=1e-5, form="literal")
-        value = soft_dice_ce(ProbabilityVolume(p_values, Region.ET), mask(y, Region.ET), cfg)
+        value = soft_dice_ce(ProbabilityVolume(p_values, Region.ET), mask(y, Region.ET))
         sum_p = 0.25 * 64
-        assert value == pytest.approx(cfg.epsilon / (sum_p + cfg.epsilon))
+        assert value == pytest.approx(1e-5 / (sum_p + 1e-5))
 
     def test_perturbation_strictly_increases_conventional_form(self):
         y = ball((8, 8, 8), 3.0)
         base_p = y.astype(np.float64)
-        cfg = LossConfig(form="conventional")
-        base = soft_dice_ce(ProbabilityVolume(base_p, Region.WT), mask(y), cfg)
+        base = soft_dice_ce(ProbabilityVolume(base_p, Region.WT), mask(y), "conventional")
         inside = tuple(np.argwhere(y)[0])
         outside = tuple(np.argwhere(~y)[0])
         for voxel, new_value in ((inside, 0.4), (outside, 0.6)):
             perturbed = base_p.copy()
             perturbed[voxel] = new_value
-            worse = soft_dice_ce(ProbabilityVolume(perturbed, Region.WT), mask(y), cfg)
+            worse = soft_dice_ce(ProbabilityVolume(perturbed, Region.WT), mask(y), "conventional")
             assert worse > base
 
     def test_hand_computation_with_soft_probabilities(self):
         # y = [1, 0], p = [0.5, 0.5]; eps = 1e-5
         y = np.array([True, False]).reshape(2, 1, 1)
         p = np.full((2, 1, 1), 0.5)
-        cfg = LossConfig(epsilon=1e-5, form="literal")
-        got = soft_dice_ce(ProbabilityVolume(p, Region.TC), mask(y, Region.TC), cfg)
+        got = soft_dice_ce(ProbabilityVolume(p, Region.TC), mask(y, Region.TC))
         dice_term = (2 * 0.5 + 1e-5) / (1 + 1.0 + 1e-5)
         ce = -np.log(0.5)
         assert got == pytest.approx(dice_term + ce, rel=1e-12)
+
+    def test_unknown_form_rejected(self):
+        y = np.ones((2, 1, 1), bool)
+        with pytest.raises(ValueError, match="literal or conventional"):
+            soft_dice_ce(ProbabilityVolume(np.full((2, 1, 1), 0.5), Region.TC), mask(y), "dice")
 
 
 class TestEvaluateCase:
@@ -253,7 +249,7 @@ class TestEvaluateCase:
         labels[ball((12, 12, 12), 3.5)] = 1
         labels[ball((12, 12, 12), 2.0)] = 4
         vol = self._volume(labels)
-        metrics = evaluate_case(vol, vol, POLICY, case_id="case0")
+        metrics = evaluate_case(vol, vol, case_id="case0")
         assert (metrics.dsc_et, metrics.dsc_tc, metrics.dsc_wt) == (100.0, 100.0, 100.0)
         assert (metrics.hd95_et, metrics.hd95_tc, metrics.hd95_wt) == (0.0, 0.0, 0.0)
         assert metrics.case_id == "case0"
@@ -263,7 +259,7 @@ class TestEvaluateCase:
         gt[ball((8, 8, 8), 2.5)] = 2
         pred = gt.copy()
         pred.ravel()[:5] = 4  # 5 spurious ET voxels
-        metrics = evaluate_case(self._volume(pred), self._volume(gt), POLICY)
+        metrics = evaluate_case(self._volume(pred), self._volume(gt))
         assert metrics.dsc_et == 0.0
         assert metrics.hd95_et == pytest.approx(373.1287)
 
@@ -274,7 +270,7 @@ class TestEvaluateCase:
         pred[1:3] = 4   # ET pred voxels 1,2 -> dice 2*1/(2+2)=50
         gt[2:4] = 1     # TC gt = {0,1,2,3}
         pred[3:4] = 1   # TC pred = {1,2,3} -> inter {1,2,3} dice 2*3/(4+3)
-        metrics = evaluate_case(self._volume(pred), self._volume(gt), POLICY)
+        metrics = evaluate_case(self._volume(pred), self._volume(gt))
         assert metrics.dsc_et == pytest.approx(50.0)
         assert metrics.dsc_tc == pytest.approx(100.0 * 6 / 7)
         assert metrics.dsc_wt == pytest.approx(100.0 * 6 / 7)
