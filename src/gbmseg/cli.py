@@ -51,6 +51,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+def _positive(convert, zero_ok: bool = False):
+    """argparse type: ``convert(text)``, which must be > 0, or >= 0 when
+    ``zero_ok``.  NaN fails both tests."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not (value >= 0 if zero_ok else value > 0):
+            wanted = "non-negative" if zero_ok else "positive"
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        return value
+
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
+
+
 def _write_labels(path: Path, labels: LabelVolume) -> None:
     grid = labels.to_grid()
     write_volume(path, NiftiHeader.for_grid(grid, DT_UINT8), grid)
@@ -150,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="crop to the brain box, fit to target dims, z-score")
     p.add_argument("inputs", nargs="+", help="modality NIfTI volumes of one case")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--target", nargs=3, type=int, default=list(DEFAULT_TARGET_DIMS),
+    p.add_argument("--target", nargs=3, type=_positive(int), default=list(DEFAULT_TARGET_DIMS),
                    metavar=("X", "Y", "Z"), help="target dims (default 192 224 160)")
     p.add_argument("--no-normalize", action="store_true", help="skip z-score normalization")
     p.set_defaults(func=_cmd_preprocess)
@@ -167,10 +182,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("methods", nargs="+", help="one directory of predictions per method")
     p.add_argument("--method", choices=("mean", "vote", "staple"), default="staple")
     p.add_argument("--out", required=True, help="output directory for fused volumes")
-    p.add_argument("--et-threshold", type=int, default=200,
+    p.add_argument("--et-threshold", type=_positive(int, zero_ok=True), default=200,
                    help="relabel ET as necrotic below this voxel count (0 disables)")
-    p.add_argument("--staple-max-iter", type=int, default=50)
-    p.add_argument("--staple-tol", type=float, default=1e-6)
+    p.add_argument("--staple-max-iter", type=_positive(int), default=50)
+    p.add_argument("--staple-tol", type=_positive(float), default=1e-6)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

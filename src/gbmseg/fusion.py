@@ -74,7 +74,7 @@ class StapleConfig:
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too: no weight change falls below it
             raise ValueError("tol must be positive")
         if isinstance(self.prior, str):
             if self.prior not in ("prevalence", "voxelwise"):

@@ -62,6 +62,43 @@ class TestExitCodes:
         assert "error" in capsys.readouterr().err
 
 
+class TestNumericFlags:
+    """Out-of-range numbers are usage errors (exit 1), caught before any work."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--et-threshold", "-1"),
+        ("--staple-max-iter", "0"),
+        ("--staple-tol", "0"),
+        ("--staple-tol", "-0.5"),
+        ("--staple-tol", "nan"),
+    ])
+    def test_bad_fuse_flag_is_usage_error(self, phantom_dirs, tmp_path, capsys, flag, value):
+        method_dirs, _ = phantom_dirs
+        out = tmp_path / "fused"
+        code = main(["fuse", *map(str, method_dirs), "--out", str(out), flag, value])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"argument {flag}" in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", [["-3", "4", "4"], ["4", "0", "4"]])
+    def test_bad_preprocess_target_is_usage_error(self, tmp_path, capsys, target):
+        src = tmp_path / "t1.nii"
+        grid = VoxelGrid(ball((8, 8, 8), 3.0).astype(np.float64))
+        write_volume(src, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
+        out = tmp_path / "pre"
+        code = main(["preprocess", str(src), "--out", str(out), "--target", *target])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "argument --target" in err and "all-zero" not in err
+        assert not out.exists()
+
+    def test_zero_et_threshold_is_accepted(self, phantom_dirs, tmp_path):
+        method_dirs, _ = phantom_dirs
+        assert main(["fuse", *map(str, method_dirs), "--out", str(tmp_path / "f"),
+                     "--et-threshold", "0"]) == 0
+
+
 class TestPreprocess:
     def test_crops_normalizes_and_writes(self, tmp_path, capsys):
         rng = np.random.default_rng(3)

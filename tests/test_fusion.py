@@ -239,6 +239,14 @@ class TestStapleBinary:
         assert "TC" in caplog.records[0].getMessage()
         assert "max_iter=1" in caplog.records[0].getMessage()
 
+    @pytest.mark.parametrize("kwargs", [
+        {"max_iter": 0}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
+        {"prior": "uniform"}, {"prior": 0.0}, {"prior": 1.0},
+    ], ids=["max_iter_0", "tol_0", "tol_negative", "tol_nan", "prior_mode", "prior_0", "prior_1"])
+    def test_config_rejects_bad_values(self, kwargs):
+        with pytest.raises(ValueError):
+            StapleConfig(**kwargs)
+
     def test_too_many_raters(self):
         m = ball((4, 4, 4), 1.5)
         with pytest.raises(TooManyRaters):
