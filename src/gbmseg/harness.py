@@ -249,10 +249,15 @@ def rank_methods(summaries: list[MethodSummary], strategy: str) -> list[MethodSu
     dsc_only: average DSC descending, ties by average HD95 ascending.
     avg_rank: mean of the DSC rank and the HD95 rank, ties by average DSC.
     dsc_minus_hd95: avg_dsc - avg_hd95 descending.
-    Remaining ties resolve by method name so the order is total.
+    Remaining ties resolve by method name so the order is total, and a
+    repeated name raises GbmsegError: the orders are lists of names.
     """
     if not summaries:
         raise EmptyInput("no method summaries to rank")
+    names = [s.method_name for s in summaries]
+    repeated = sorted({n for n in names if names.count(n) > 1})
+    if repeated:
+        raise GbmsegError(f"method names must be unique; repeated: {repeated}")
     if strategy == "dsc_only":
         key = lambda s: (-s.avg_dsc, s.avg_hd95, s.method_name)
     elif strategy == "avg_rank":

@@ -276,6 +276,19 @@ class TestEvaluateAndReport:
             assert sorted(ranking["order"][strategy]) == ["m0", "m1", "m2"]
         assert (report_dir / "aggregates.txt").read_text().count("== m") == 3
 
+    def test_report_repeated_method_name_is_data_error(self, tmp_path, capsys):
+        header = "case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+        csvs = []
+        for i, (dsc, hd) in enumerate([(90, 1), (80, 5), (70, 9)]):
+            csvs.append(tmp_path / f"m{i}.csv")
+            csvs[-1].write_text(header + f"a,{dsc}.00,{dsc}.00,{dsc}.00,{hd}.0,{hd}.0,{hd}.0\n")
+        out = tmp_path / "r"
+        code = main(["report", *map(str, csvs), "--names", "x", "y", "x", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "'x'" in err and "Traceback" not in err
+        assert not (out / "ranking.json").exists()
+
     def test_report_name_count_mismatch_is_data_error(self, tmp_path):
         csv = tmp_path / "m.csv"
         csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gbmseg.cli import main
-from gbmseg.errors import EmptyInput, IoFailure, NoMatchedCases, UnreadableVolume
+from gbmseg.errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, UnreadableVolume
 from gbmseg.harness import (
     CSV_COLUMNS,
     RANK_STRATEGIES,
@@ -162,6 +162,15 @@ class TestRankMethods:
     def test_empty_input(self):
         with pytest.raises(EmptyInput):
             rank_methods([], "dsc_only")
+
+    @pytest.mark.parametrize("strategy", RANK_STRATEGIES)
+    def test_repeated_method_name_rejected(self, strategy):
+        # Keyed by name, the avg_rank scores of the two "x" rows collide and
+        # the best method (first x: best DSC and best HD95) ranked 2nd.
+        summaries = [MethodSummary("x", 90.0, 1.0), MethodSummary("y", 80.0, 5.0),
+                     MethodSummary("x", 70.0, 9.0)]
+        with pytest.raises(GbmsegError, match="'x'"):
+            rank_methods(summaries, strategy)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
