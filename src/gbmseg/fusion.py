@@ -122,7 +122,8 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     if not raters:
         raise EmptyInput("no raters to vote")
     require_same_geometry(*raters)
-    counts = np.zeros((len(BRATS_LABELS),) + raters[0].dims, dtype=np.int32)
+    counts = np.zeros((len(BRATS_LABELS),) + raters[0].dims,
+                      dtype=np.min_scalar_type(len(raters)))
     for rater in raters:
         for idx, label in enumerate(BRATS_LABELS):
             counts[idx] += rater.labels == label

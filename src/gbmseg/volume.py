@@ -217,9 +217,10 @@ def decompose_regions(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelVo
                 f"expected {expected.value} mask, got {mask.region.value}"
             )
     require_same_geometry(et, tc, wt)
-    lab = np.where(
-        et.member, 4, np.where(tc.member, 1, np.where(wt.member, 2, 0))
-    ).astype(np.uint8)
+    lab = np.zeros_like(wt.member, dtype=np.uint8)
+    lab[wt.member] = 2
+    lab[tc.member] = 1
+    lab[et.member] = 4  # assigned last, so the priority holds
     return LabelVolume(lab, et.spacing, et.affine)
 
 

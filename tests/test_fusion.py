@@ -104,6 +104,13 @@ class TestMajorityVote:
         with pytest.raises(EmptyInput):
             majority_vote([])
 
+    @pytest.mark.parametrize("n_raters", [255, 256, 257])
+    def test_unanimous_count_at_the_count_dtype_limit(self, n_raters):
+        # counts live in the smallest dtype that holds n_raters; a wrap
+        # would drop the unanimous label's count to a small number
+        raters = [self._vol([4, 1, 2])] * (n_raters - 1) + [self._vol([4, 0, 0])]
+        assert majority_vote(raters).labels.ravel().tolist() == [4, 1, 2]
+
 
 class TestStapleBinary:
     def test_unanimous_raters_reach_the_fixed_point(self):
