@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -132,10 +133,21 @@ def _cmd_evaluate(args) -> None:
     print(render_aggregate_table(report), end="")
 
 
+def _default_names(csvs: list[str]) -> list[str]:
+    """Each CSV's file stem; when stems repeat, as ``metrics.csv`` from
+    ``evaluate`` runs do, each CSV's directory name if those are unique."""
+    paths = [Path(os.path.abspath(p)) for p in csvs]
+    stems = [p.stem for p in paths]
+    parents = [p.parent.name for p in paths]
+    if len(set(stems)) < len(stems) and len(set(parents)) == len(parents):
+        return parents
+    return stems
+
+
 def _cmd_report(args) -> None:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    names = args.names or [Path(p).stem for p in args.csvs]
+    names = args.names or _default_names(args.csvs)
     if len(names) != len(args.csvs):
         raise GbmsegError(
             f"{len(args.csvs)} CSV inputs but {len(names)} names"
@@ -198,7 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="aggregate metric CSVs and rank the methods")
     p.add_argument("csvs", nargs="+", help="per-method metrics CSV files")
-    p.add_argument("--names", nargs="+", default=None, help="method names (default: file stems)")
+    p.add_argument("--names", nargs="+", default=None,
+                   help="method names (default: file stems, or directory names when stems repeat)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=_cmd_report)
     return parser

@@ -7,15 +7,20 @@ expectation-maximization estimate of the latent true mask together with
 each rater's sensitivity/specificity.  Multi-label fusion runs the mean or
 STAPLE independently per evaluated region and recombines the consensus
 masks through the deterministic label priority.
+
+STAPLE's E-step takes the logistic of one log-odds value per rater
+decision pattern, at most min(2^R, N) of them, so it is computed one
+pattern at a time with the C library's ``exp``: exactly as
+``scipy.special.expit`` computes it, bit for bit, without loading SciPy.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import (
     DegenerateInput,
@@ -164,6 +169,21 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     return _fuse_regions(raters, keep_half)
 
 
+def _logistic(v: float) -> float:
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:  # e^-v > DBL_MAX: the C library's exp gives inf, and 1/(1+inf) = 0
+        return 0.0
+
+
+def _expit(x: np.ndarray) -> np.ndarray:
+    """The logistic 1 / (1 + e^-x) of a 1-D array, element by element with
+    libm's ``exp``, which makes it equal to ``scipy.special.expit`` bit for
+    bit.  NumPy's vectorized ``exp`` is not libm's and differs in the last
+    bits."""
+    return np.array([_logistic(v) for v in x.tolist()], dtype=np.float64)
+
+
 def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
     """Sum along ``axis`` after sorting along it.
 
@@ -243,7 +263,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
             np.where(marks, np.log(sens)[:, None], np.log1p(-sens)[:, None]), axis=0)
         log_b = log_not_prior + _ordered_sum(
             np.where(marks, np.log1p(-spec)[:, None], np.log(spec)[:, None]), axis=0)
-        new_weights = expit(log_a - log_b)
+        new_weights = _expit(log_a - log_b)
         trace.append(float(_ordered_sum(counts * np.logaddexp(log_a, log_b))))
 
         # M-step; clamping is the constrained maximizer because the

@@ -17,6 +17,9 @@ Conventions:
   box no voxel belongs to either mask, so counting out-of-box neighbours
   as outside changes no surface voxel; and the distance transform
   compares only index differences, which a crop does not change.
+* SciPy's ``ndimage`` is imported inside ``_surface`` and ``hd95``, the
+  two functions that call it, so importing this module (as the CLI does
+  for every command) loads none of SciPy; ``gbmseg fuse`` never does.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .volume import (
     LabelVolume,
@@ -36,7 +38,8 @@ from .volume import (
     require_same_geometry,
 )
 
-_SIX_CONNECTED = ndimage.generate_binary_structure(3, 1)
+# The 3x3x3 cross: the centre voxel and its six face neighbours.
+_SIX_CONNECTED = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1
 
 LOG_CLAMP = 1e-12
 
@@ -84,6 +87,8 @@ def dice(a: RegionMask, b: RegionMask) -> float:
 
 def _surface(member: np.ndarray) -> np.ndarray:
     """Boolean mask of member voxels with a 6-connected neighbor outside."""
+    from scipy import ndimage
+
     eroded = ndimage.binary_erosion(member, structure=_SIX_CONNECTED, border_value=0)
     return member & ~eroded
 
@@ -112,6 +117,8 @@ def hd95(a: RegionMask, b: RegionMask) -> float:
         return BOTH_EMPTY_HD95
     if na == 0 or nb == 0:
         return ONE_EMPTY_HD95_PENALTY
+    from scipy import ndimage
+
     # Exact on the union box; see the module docstring.
     box = bounding_box(a.member | b.member)
     surf_a = _surface(a.member[box])

@@ -4,6 +4,8 @@ augmentation transforms (rotation, 3D flipping, gamma).
 All operations are pure: geometry is only changed where documented
 (crop_and_fit translates the affine; augmentations leave geometry alone
 because they act in augmentation space, not scanner space).
+SciPy is imported inside ``rotate3d``, its only caller, so importing this
+module (as the CLI does for every command) loads none of it.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import BadAngle, GeometryMismatch, NoBrainVoxels, ZeroVariance
 from .volume import VoxelGrid, bounding_box, require_same_geometry
@@ -162,6 +163,8 @@ def rotate3d(
     values = grid.values
     if order == 1 and not np.issubdtype(values.dtype, np.floating):
         values = values.astype(np.float64)
+    from scipy import ndimage
+
     rotated = ndimage.rotate(
         values,
         angle=degrees,

@@ -23,8 +23,10 @@ from .errors import BadLabel, GeometryMismatch, RegionMismatch
 
 BRATS_LABELS = (0, 1, 2, 4)
 
-# _IS_BRATS_LABEL[v] is True for v in BRATS_LABELS: one gather checks uint8 labels
+# _IS_BRATS_LABEL[v] is True for v in BRATS_LABELS: one gather checks uint8
+# labels, _LABEL_CHECK_CHUNK voxels at a time so the gathered booleans stay small
 _IS_BRATS_LABEL = np.isin(np.arange(256), BRATS_LABELS)
+_LABEL_CHECK_CHUNK = 1 << 16
 
 _GEOMETRY_ATOL = 1e-5
 
@@ -101,7 +103,9 @@ class LabelVolume(_Volume):
     def _checked(labels: np.ndarray) -> np.ndarray:
         # Check before the cast: uint8 would wrap 256 round to 0.
         if labels.dtype == np.uint8:
-            valid = _IS_BRATS_LABEL[labels].all()
+            chunks = np.nditer(labels, flags=["external_loop", "buffered", "zerosize_ok"],
+                               buffersize=_LABEL_CHECK_CHUNK, order="K")
+            valid = all(_IS_BRATS_LABEL[chunk].all() for chunk in chunks)
         else:
             valid = np.isin(labels, BRATS_LABELS).all()
         if not valid:

@@ -1,11 +1,15 @@
 import gzip
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gbmseg
 from gbmseg.cli import main
 from gbmseg.nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
 from gbmseg.volume import LabelVolume, VoxelGrid
@@ -169,6 +173,33 @@ class TestFuse:
         _, truth = read_volume(gt_dir / "case_000.nii.gz")
         assert mask_dice(fused.values > 0, truth.values > 0) >= 90.0
 
+    def test_fuse_loads_no_scipy(self, phantom_dirs, tmp_path):
+        # fuse needs only NumPy; importing SciPy doubled its start-up time.
+        method_dirs, _ = phantom_dirs
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "import gbmseg.fusion, gbmseg.metrics, gbmseg.harness, gbmseg.preprocess, gbmseg.cli\n"
+            "loaded = {'import': scipy_modules()}\n"
+            "runs = {'fuse --help': ['fuse', '--help']}\n"
+            "for method in ('staple', 'vote', 'mean'):\n"
+            "    runs[method] = ['fuse', *sys.argv[2:], '--method', method,\n"
+            "                    '--out', f'{sys.argv[1]}/{method}']\n"
+            "for step, argv in runs.items():\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        loaded[step] = [gbmseg.cli.main(argv), scipy_modules()]\n"
+            "print(json.dumps(loaded))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gbmseg.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path), *map(str, method_dirs)],
+                              env=env, capture_output=True, text=True, check=True)
+        assert json.loads(done.stdout) == {
+            "import": [], "fuse --help": [0, []], "staple": [0, []], "vote": [0, []], "mean": [0, []],
+        }
+        assert sorted(p.name for p in (tmp_path / "staple").iterdir()) == [
+            "case_000.nii.gz", "case_001.nii.gz"]
+
     def test_single_method_dir_with_staple_is_data_error(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs
         code = main(["fuse", str(method_dirs[0]), "--method", "staple",
@@ -288,6 +319,31 @@ class TestEvaluateAndReport:
         assert code == 2
         assert "'x'" in err and "Traceback" not in err
         assert not (out / "ranking.json").exists()
+
+    def test_report_names_repeated_stems_after_their_directories(self, tmp_path, capsys):
+        # evaluate always writes metrics.csv, so the stems of two runs repeat
+        header = "case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+        csvs = []
+        for name, dsc in [("staple", 90), ("vote", 80)]:
+            (tmp_path / name).mkdir()
+            csvs.append(tmp_path / name / "metrics.csv")
+            csvs[-1].write_text(header + f"a,{dsc}.00,{dsc}.00,{dsc}.00,1.0,1.0,1.0\n")
+        out = tmp_path / "r"
+        assert main(["report", *map(str, csvs), "--out", str(out)]) == 0
+        ranking = json.loads((out / "ranking.json").read_text())
+        assert ranking["order"]["dsc_only"] == ["staple", "vote"]
+        assert "== staple ==" in (out / "aggregates.txt").read_text()
+
+    def test_report_repeated_stems_and_directories_is_data_error(self, tmp_path, capsys):
+        header = "case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+        csvs = []
+        for parent in ("a/run", "b/run"):
+            (tmp_path / parent).mkdir(parents=True)
+            csvs.append(tmp_path / parent / "metrics.csv")
+            csvs[-1].write_text(header + "a,90.00,90.00,90.00,1.0,1.0,1.0\n")
+        code = main(["report", *map(str, csvs), "--out", str(tmp_path / "r")])
+        assert code == 2
+        assert "'metrics'" in capsys.readouterr().err
 
     def test_report_name_count_mismatch_is_data_error(self, tmp_path):
         csv = tmp_path / "m.csv"

@@ -14,8 +14,10 @@ from gbmseg.errors import (
     TooFewRaters,
     TooManyRaters,
 )
+from gbmseg import fusion
 from gbmseg.fusion import (
     STAPLE_CLAMP,
+    _expit,
     StapleConfig,
     average_probabilities,
     ensemble_pipeline,
@@ -332,18 +334,65 @@ class TestStaplePatternsMatchReference:
 
     @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
     def test_every_pattern_of_sixteen_raters(self, prior_mode):
-        # 2^16 voxels carry each 16-bit decision pattern once; 2^14 more
-        # follow a noisy truth so the raters' rates are not all equal.
-        rng = np.random.default_rng(15)
-        n_raters = 16
-        enumerated = rng.permutation(1 << n_raters)
-        every = (enumerated[None, :] >> np.arange(n_raters)[:, None]) & 1 == 1
-        truth = rng.random(1 << 14) < 0.3
-        miss = rng.uniform(0.02, 0.3, size=(n_raters, 1))
-        noisy = np.where(truth, rng.random((n_raters, truth.size)) >= miss,
-                         rng.random((n_raters, truth.size)) < miss / 3)
-        members = np.concatenate([every, noisy], axis=1).reshape(n_raters, 16, 64, 80)
-        _assert_matches_reference(members, prior_mode, max_iter=6)
+        _assert_matches_reference(_every_pattern_of_sixteen_raters(), prior_mode, max_iter=6)
+
+    def test_libm_logistic_leaves_every_pattern_run_unchanged(self, monkeypatch):
+        from scipy.special import expit
+
+        raters = [mask(m) for m in _every_pattern_of_sixteen_raters()]
+        cfg = StapleConfig(prior=0.3)  # converges, in 23 iterations
+        ours = staple_binary(raters, cfg)
+        monkeypatch.setattr(fusion, "_expit", expit)
+        theirs = staple_binary(raters, cfg)
+        assert ours.converged and ours.iterations == theirs.iterations
+        assert ours.loglik_trace == theirs.loglik_trace
+        assert np.array_equal(ours.weights.prob, theirs.weights.prob)
+
+
+def _every_pattern_of_sixteen_raters() -> np.ndarray:
+    """(16, 16, 64, 80) masks: 2^16 voxels carry each 16-bit decision
+    pattern once; 2^14 more follow a noisy truth so the raters' rates are
+    not all equal."""
+    rng = np.random.default_rng(15)
+    n_raters = 16
+    enumerated = rng.permutation(1 << n_raters)
+    every = (enumerated[None, :] >> np.arange(n_raters)[:, None]) & 1 == 1
+    truth = rng.random(1 << 14) < 0.3
+    miss = rng.uniform(0.02, 0.3, size=(n_raters, 1))
+    noisy = np.where(truth, rng.random((n_raters, truth.size)) >= miss,
+                     rng.random((n_raters, truth.size)) < miss / 3)
+    return np.concatenate([every, noisy], axis=1).reshape(n_raters, 16, 64, 80)
+
+
+class TestExpit:
+    """The E-step's logistic equals scipy.special.expit bit for bit."""
+
+    @staticmethod
+    def _assert_matches_scipy(values):
+        from scipy.special import expit
+
+        x = np.asarray(values, dtype=np.float64)
+        ours = _expit(x)
+        assert ours.dtype == np.float64 and ours.shape == x.shape
+        np.testing.assert_array_equal(ours, expit(x))
+        assert np.array_equal(np.signbit(ours), np.signbit(expit(x)))
+
+    @given(arrays(np.float64, st.integers(1, 64),
+                  elements=st.floats(min_value=-800.0, max_value=800.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_finite_values(self, x):
+        self._assert_matches_scipy(x)
+
+    def test_special_values_and_the_overflow_edge(self):
+        edge = np.log(np.finfo(np.float64).max)  # 709.78...: exp(-v) overflows just below -edge
+        self._assert_matches_scipy([
+            np.inf, -np.inf, np.nan, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308,
+            -edge, np.nextafter(-edge, 0.0), np.nextafter(-edge, -np.inf),
+            -709.8, -745.1, -746.0, 36.8, 37.0, 745.1, 746.0,
+        ])
+
+    def test_dense_sweep(self):
+        self._assert_matches_scipy(np.random.default_rng(0).uniform(-800.0, 800.0, 20_000))
 
 
 class TestStapleRegions:

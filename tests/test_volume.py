@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,26 @@ class TestTypes:
             else:
                 with pytest.raises(BadLabel, match=rf"\[{value}\]"):
                     LabelVolume(labels)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_uint8_label_check_needs_no_full_grid_temporary(self, order):
+        # The check gathers one bounded chunk at a time (about 0.13 MiB at
+        # peak); a full-grid boolean temporary costs one byte per voxel, 1 MiB.
+        labels = np.zeros((128, 128, 64), dtype=np.uint8, order=order)
+        labels[::7, ::5, ::3] = 4
+        labels[-1, -1, -1] = 3
+        good = labels.copy(order="K")
+        good[-1, -1, -1] = 2
+        for payload in (good, good[1:, :-2, 3:]):
+            tracemalloc.start()
+            try:
+                LabelVolume(payload)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < payload.size // 4
+        with pytest.raises(BadLabel, match=r"\[3\]"):
+            LabelVolume(labels)
 
     def test_probability_volume_rejects_out_of_range(self):
         for value in (1.2, -0.1, np.nan):
