@@ -320,7 +320,7 @@ class TestEvaluateAndReport:
         assert "'x'" in err and "Traceback" not in err
         assert not (out / "ranking.json").exists()
 
-    def test_report_names_repeated_stems_after_their_directories(self, tmp_path, capsys):
+    def test_report_names_repeated_stems_after_their_directories(self, tmp_path):
         # evaluate always writes metrics.csv, so the stems of two runs repeat
         header = "case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
         csvs = []
