@@ -184,7 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("augment", help="preview one seeded augmentation")
     p.add_argument("input", help="input NIfTI volume")
-    p.add_argument("--seed", type=int, required=True, help="augmentation seed")
+    p.add_argument("--seed", type=_positive(int, zero_ok=True), required=True,
+                   help="augmentation seed")
     p.add_argument("--out", required=True, help="output NIfTI path")
     p.add_argument("--labels", action="store_true",
                    help="treat payload as labels (nearest-neighbor, no gamma)")

@@ -290,17 +290,17 @@ def rank_all(summaries: list[MethodSummary]) -> dict[str, list[str]]:
 # --- report rendering ---------------------------------------------------
 
 
-def format_case_row(case: CaseMetrics) -> str:
-    return (
-        f"{case.case_id},{case.dsc_et:.2f},{case.dsc_tc:.2f},{case.dsc_wt:.2f},"
-        f"{case.hd95_et:.4f},{case.hd95_tc:.4f},{case.hd95_wt:.4f}"
-    )
-
-
 def write_metrics_csv(cases: list[CaseMetrics], path) -> None:
-    """Write the fixed-schema per-case CSV (UTF-8, LF endings)."""
-    lines = [",".join(CSV_COLUMNS)] + [format_case_row(c) for c in cases]
-    Path(path).write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    """Write the fixed-schema per-case CSV (UTF-8, LF endings); a case id
+    holding a comma or a quote is quoted, so ``read_metrics_csv`` reads it back."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_COLUMNS)
+        writer.writerows(
+            (c.case_id, f"{c.dsc_et:.2f}", f"{c.dsc_tc:.2f}", f"{c.dsc_wt:.2f}",
+             f"{c.hd95_et:.4f}", f"{c.hd95_tc:.4f}", f"{c.hd95_wt:.4f}")
+            for c in cases
+        )
 
 
 def _metric_value(column: str, text: str) -> float:

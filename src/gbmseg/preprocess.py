@@ -76,37 +76,19 @@ def brain_bounding_box(modalities: list[VoxelGrid]) -> BoundingBox:
 def crop_and_fit(grid: VoxelGrid, box: BoundingBox, target_dims: tuple[int, int, int]) -> VoxelGrid:
     """Center the box contents inside a grid of exactly ``target_dims``.
 
-    Per axis the box is symmetrically zero-padded when smaller than the
-    target and symmetrically center-cropped when larger; an odd remainder
-    goes to the high side in both cases.  The affine is translated so
-    every retained voxel keeps its world coordinates.
+    Per axis the target window starts ``int((target - size) / 2)`` voxels
+    before the box: a smaller box is zero-padded and a larger one
+    center-cropped, and truncation toward zero puts an odd remainder on the
+    high side in both cases.  The affine is translated so every retained
+    voxel keeps its world coordinates.
     """
     if any(l < 0 or h > d for l, h, d in zip(box.low, box.high, grid.dims)):
         raise GeometryMismatch(f"box {box} exceeds grid dims {grid.dims}")
     out = np.zeros(tuple(target_dims), dtype=grid.values.dtype)
-
-    src_lo, src_hi, dst_lo, dst_hi, origin = [], [], [], [], []
-    for axis, target in enumerate(target_dims):
-        lo, hi = box.low[axis], box.high[axis]
-        size = hi - lo
-        if size <= target:
-            pad_low = (target - size) // 2
-            src_lo.append(lo)
-            src_hi.append(hi)
-            dst_lo.append(pad_low)
-            dst_hi.append(pad_low + size)
-            origin.append(lo - pad_low)
-        else:
-            trim_low = (size - target) // 2
-            src_lo.append(lo + trim_low)
-            src_hi.append(lo + trim_low + target)
-            dst_lo.append(0)
-            dst_hi.append(target)
-            origin.append(lo + trim_low)
-
-    out[dst_lo[0] : dst_hi[0], dst_lo[1] : dst_hi[1], dst_lo[2] : dst_hi[2]] = grid.values[
-        src_lo[0] : src_hi[0], src_lo[1] : src_hi[1], src_lo[2] : src_hi[2]
-    ]
+    origin = [l - int((t - (h - l)) / 2) for l, h, t in zip(box.low, box.high, target_dims)]
+    src = tuple(slice(max(l, o), min(h, o + t))
+                for l, h, o, t in zip(box.low, box.high, origin, target_dims))
+    out[tuple(slice(s.start - o, s.stop - o) for s, o in zip(src, origin))] = grid.values[src]
     affine = grid.affine.copy()
     affine[:3, 3] = grid.affine[:3, 3] + grid.affine[:3, :3] @ np.asarray(origin, dtype=np.float64)
     return VoxelGrid(out, grid.spacing, affine)

@@ -23,10 +23,9 @@ from .errors import BadLabel, GeometryMismatch, RegionMismatch
 
 BRATS_LABELS = (0, 1, 2, 4)
 
-# _IS_BRATS_LABEL[v] is True for v in BRATS_LABELS: one gather checks uint8
-# labels, _LABEL_CHECK_CHUNK voxels at a time so the gathered booleans stay small
-_IS_BRATS_LABEL = np.isin(np.arange(256), BRATS_LABELS)
-_LABEL_CHECK_CHUNK = 1 << 16
+# labels are checked _LABEL_CHECK_BYTES of payload at a time, so the iterator's
+# buffer and the check's booleans stay small whatever the dtype or memory layout
+_LABEL_CHECK_BYTES = 1 << 16
 
 _GEOMETRY_ATOL = 1e-5
 
@@ -102,15 +101,14 @@ class LabelVolume(_Volume):
     @staticmethod
     def _checked(labels: np.ndarray) -> np.ndarray:
         # Check before the cast: uint8 would wrap 256 round to 0.
-        if labels.dtype == np.uint8:
-            chunks = np.nditer(labels, flags=["external_loop", "buffered", "zerosize_ok"],
-                               buffersize=_LABEL_CHECK_CHUNK, order="K")
-            valid = all(_IS_BRATS_LABEL[chunk].all() for chunk in chunks)
-        else:
-            valid = np.isin(labels, BRATS_LABELS).all()
-        if not valid:
-            bad = sorted(set(np.unique(labels).tolist()) - set(BRATS_LABELS))
-            raise BadLabel(f"labels outside {{0,1,2,4}}: {bad}")
+        for chunk in np.nditer(labels, flags=["external_loop", "buffered", "refs_ok", "zerosize_ok"],
+                               buffersize=_LABEL_CHECK_BYTES // labels.itemsize, order="K"):
+            valid = chunk == BRATS_LABELS[0]
+            for label in BRATS_LABELS[1:]:
+                valid |= chunk == label  # in place: one chunk temporary at a time
+            if not valid.all():
+                bad = sorted(set(np.unique(labels).tolist()) - set(BRATS_LABELS))
+                raise BadLabel(f"labels outside {{0,1,2,4}}: {bad}")
         return labels.astype(np.uint8, copy=False)
 
     @classmethod

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written from the operation definitions
 (voxel enumeration, all-pairs distances, plain-transcription EM) rather
-than through the library's own code paths.  The exception is
-``hd95_full_grid``, a frozen copy of an earlier library ``hd95``.
+than through the library's own code paths.  The exceptions are
+``hd95_full_grid`` and ``crop_and_fit_per_axis``, frozen copies of earlier
+library ``hd95`` and ``crop_and_fit``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,37 @@ def hd95_full_grid(a, b) -> float:
     to_a = ndimage.distance_transform_edt(~surf_a, sampling=spacing)
     distances = np.concatenate([to_b[surf_a], to_a[surf_b]])
     return float(np.percentile(distances, 95))
+
+
+def crop_and_fit_per_axis(values: np.ndarray, affine: np.ndarray, low, high, target_dims):
+    """The library's ``crop_and_fit`` as it was before its per-axis pad and
+    crop branches became one centred window, on raw arrays: returns the
+    fitted values and the translated affine."""
+    out = np.zeros(tuple(target_dims), dtype=values.dtype)
+    src_lo, src_hi, dst_lo, dst_hi, origin = [], [], [], [], []
+    for axis, target in enumerate(target_dims):
+        lo, hi = low[axis], high[axis]
+        size = hi - lo
+        if size <= target:
+            pad_low = (target - size) // 2
+            src_lo.append(lo)
+            src_hi.append(hi)
+            dst_lo.append(pad_low)
+            dst_hi.append(pad_low + size)
+            origin.append(lo - pad_low)
+        else:
+            trim_low = (size - target) // 2
+            src_lo.append(lo + trim_low)
+            src_hi.append(lo + trim_low + target)
+            dst_lo.append(0)
+            dst_hi.append(target)
+            origin.append(lo + trim_low)
+    out[dst_lo[0] : dst_hi[0], dst_lo[1] : dst_hi[1], dst_lo[2] : dst_hi[2]] = values[
+        src_lo[0] : src_hi[0], src_lo[1] : src_hi[1], src_lo[2] : src_hi[2]
+    ]
+    out_affine = affine.copy()
+    out_affine[:3, 3] = affine[:3, 3] + affine[:3, :3] @ np.asarray(origin, dtype=np.float64)
+    return out, out_affine
 
 
 def rotate_nearest_oracle(values: np.ndarray, axis: int, degrees: float) -> np.ndarray:

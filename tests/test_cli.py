@@ -11,6 +11,7 @@ import pytest
 
 import gbmseg
 from gbmseg.cli import main
+from gbmseg.harness import read_metrics_csv
 from gbmseg.nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
 from gbmseg.volume import LabelVolume, VoxelGrid
 
@@ -95,6 +96,17 @@ class TestNumericFlags:
         err = capsys.readouterr().err
         assert code == 1
         assert "argument --target" in err and "all-zero" not in err
+        assert not out.exists()
+
+    def test_negative_augment_seed_is_usage_error(self, tmp_path, capsys):
+        src = tmp_path / "in.nii"
+        grid = VoxelGrid(ball((8, 8, 8), 3.0).astype(np.float64))
+        write_volume(src, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
+        out = tmp_path / "aug.nii"
+        code = main(["augment", str(src), "--seed", "-1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "argument --seed" in err and "Traceback" not in err
         assert not out.exists()
 
     def test_zero_et_threshold_is_accepted(self, phantom_dirs, tmp_path):
@@ -306,6 +318,20 @@ class TestEvaluateAndReport:
         for strategy in ("dsc_only", "avg_rank", "dsc_minus_hd95"):
             assert sorted(ranking["order"][strategy]) == ["m0", "m1", "m2"]
         assert (report_dir / "aggregates.txt").read_text().count("== m") == 3
+
+    def test_report_reads_case_ids_holding_a_comma_or_a_quote(self, phantom_dirs, tmp_path):
+        method_dirs, gt_dir = phantom_dirs
+        pred, truth = tmp_path / "pred", tmp_path / "truth"
+        for src_dir, dst_dir in ((method_dirs[0], pred), (gt_dir, truth)):
+            dst_dir.mkdir()
+            for src, case_id in (("case_000", "a,b"), ("case_001", 'q"x')):
+                (dst_dir / f"{case_id}.nii.gz").write_bytes((src_dir / f"{src}.nii.gz").read_bytes())
+        eval_dir = tmp_path / "eval"
+        assert main(["evaluate", "--pred", str(pred), "--gt", str(truth),
+                     "--out", str(eval_dir)]) == 0
+        assert main(["report", str(eval_dir / "metrics.csv"), "--out", str(tmp_path / "r")]) == 0
+        cases = read_metrics_csv(eval_dir / "metrics.csv")
+        assert [c.case_id for c in cases] == ["a,b", 'q"x']
 
     def test_report_repeated_method_name_is_data_error(self, tmp_path, capsys):
         header = "case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"

@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gbmseg import volume
 from gbmseg.errors import BadLabel, GeometryMismatch, RegionMismatch
 from gbmseg.volume import (
     BRATS_LABELS,
@@ -30,6 +32,33 @@ def _labels(flat, dims=None):
     if dims is None:
         dims = (arr.size, 1, 1)
     return LabelVolume(arr.reshape(dims))
+
+
+@st.composite
+def label_payloads(draw):
+    """BraTS labels in any of six dtypes and in C, F or strided layout, with
+    up to three voxels set to a value that may not be a label."""
+    dtype = np.dtype(draw(st.sampled_from(
+        [np.uint8, np.int16, np.int32, np.float32, np.float64, np.bool_])))
+    shape = draw(st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)))
+    base = draw(arrays(np.uint8, shape, elements=st.sampled_from(BRATS_LABELS)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        # the view skips voxels holding 3, which the check must not read
+        outer = np.full((2 * shape[0], shape[1] + 1, 2 * shape[2]), 3, dtype=dtype)
+        labels = outer[::2, 1:, ::-2]
+        labels[...] = base
+    else:
+        labels = np.array(base, dtype=dtype, order=layout)
+    injectable = [np.nan, np.inf, -np.inf, -0.0, 0.5, -1, 3, 256, 260]
+    if dtype.kind in "iu":
+        info = np.iinfo(dtype)
+        injectable = [v for v in injectable
+                      if np.isfinite(v) and v == int(v) and info.min <= v <= info.max]
+    for _ in range(draw(st.integers(0, 3))):
+        index = tuple(draw(st.integers(0, n - 1)) for n in shape)
+        labels[index] = draw(st.sampled_from(injectable))
+    return labels
 
 
 label_arrays = arrays(
@@ -164,10 +193,12 @@ class TestTypes:
                     LabelVolume(labels)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    def test_uint8_label_check_needs_no_full_grid_temporary(self, order):
-        # The check gathers one bounded chunk at a time (about 0.13 MiB at
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.float32, np.float64])
+    def test_label_check_needs_no_full_grid_temporary(self, dtype, order):
+        # The check holds one bounded chunk at a time (about 0.13 MiB at
         # peak); a full-grid boolean temporary costs one byte per voxel, 1 MiB.
-        labels = np.zeros((128, 128, 64), dtype=np.uint8, order=order)
+        # A wider dtype also pays for the uint8 copy the constructor returns.
+        labels = np.zeros((128, 128, 64), dtype=dtype, order=order)
         labels[::7, ::5, ::3] = 4
         labels[-1, -1, -1] = 3
         good = labels.copy(order="K")
@@ -175,13 +206,24 @@ class TestTypes:
         for payload in (good, good[1:, :-2, 3:]):
             tracemalloc.start()
             try:
-                LabelVolume(payload)
+                cast = LabelVolume(payload).labels
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak < payload.size // 4
-        with pytest.raises(BadLabel, match=r"\[3\]"):
+            returned = 0 if cast is payload else cast.nbytes
+            assert peak - returned < payload.size // 4
+        with pytest.raises(BadLabel, match=r"\[3(\.0)?\]"):
             LabelVolume(labels)
+
+    @settings(max_examples=300, deadline=None)
+    @given(label_payloads(), st.sampled_from([8, 64, 1 << 16]))
+    def test_labels_accepted_exactly_when_isin_brats(self, labels, chunk_bytes):
+        with mock.patch.object(volume, "_LABEL_CHECK_BYTES", chunk_bytes):
+            if np.isin(labels, BRATS_LABELS).all():
+                assert np.array_equal(LabelVolume(labels).labels, labels.astype(np.uint8))
+            else:
+                with pytest.raises(BadLabel, match="labels outside"):
+                    LabelVolume(labels)
 
     def test_probability_volume_rejects_out_of_range(self):
         for value in (1.2, -0.1, np.nan):
