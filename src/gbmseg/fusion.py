@@ -12,6 +12,11 @@ STAPLE's E-step takes the logistic of one log-odds value per rater
 decision pattern, at most min(2^R, N) of them, so it is computed one
 pattern at a time with the C library's ``exp``: exactly as
 ``scipy.special.expit`` computes it, bit for bit, without loading SciPy.
+
+Voting, the mean and STAPLE work only inside the union box: the tightest
+box holding every voxel that some input marks nonzero.  Outside it every
+input says 0, so each rule's answer there is known without looking, and
+every output stays bit-identical to the full-grid computation.
 """
 
 from __future__ import annotations
@@ -37,6 +42,7 @@ from .volume import (
     ProbabilityVolume,
     RegionMask,
     binarize,
+    bounding_box,
     compose_regions,
     decompose_regions,
     require_same_geometry,
@@ -122,19 +128,34 @@ def average_probabilities(probs: list[ProbabilityVolume]) -> ProbabilityVolume:
     return ProbabilityVolume(mean, probs[0].region, probs[0].spacing, probs[0].affine)
 
 
+def _union_box(arrays: list[np.ndarray]) -> tuple[slice, slice, slice]:
+    """The tightest box holding every voxel that some array marks nonzero;
+    an empty box, ``(slice(0, 0),) * 3``, when none does."""
+    union = arrays[0].astype(bool, order="K")  # keeps the payload's layout: a C copy of F data is slow
+    for array in arrays[1:]:
+        np.logical_or(union, array, out=union)
+    box = bounding_box(union)
+    return (slice(0, 0),) * 3 if box is None else box
+
+
 def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
-    """Per-voxel plurality label; ties go to the smallest label value."""
+    """Per-voxel plurality label; ties go to the smallest label value.
+
+    Only the union box is counted: outside it every rater says 0."""
     if not raters:
         raise EmptyInput("no raters to vote")
     require_same_geometry(*raters)
-    counts = np.zeros((len(BRATS_LABELS),) + raters[0].dims,
+    box = _union_box([r.labels for r in raters])
+    inside = [r.labels[box] for r in raters]
+    counts = np.zeros((len(BRATS_LABELS),) + inside[0].shape,
                       dtype=np.min_scalar_type(len(raters)))
-    for rater in raters:
+    for labels in inside:
         for idx, label in enumerate(BRATS_LABELS):
-            counts[idx] += rater.labels == label
+            counts[idx] += labels == label
     # argmax returns the first maximum; BRATS_LABELS is ascending, so ties
     # resolve to the smallest label.
-    winner = np.asarray(BRATS_LABELS, dtype=np.uint8)[counts.argmax(axis=0)]
+    winner = np.zeros(raters[0].dims, dtype=np.uint8)
+    winner[box] = np.asarray(BRATS_LABELS, dtype=np.uint8)[counts.argmax(axis=0)]
     return LabelVolume(winner, raters[0].spacing, raters[0].affine)
 
 
@@ -152,19 +173,23 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
 
     A region keeps a voxel where k of the R raters mark it and 2·k >= R.
     This equals thresholding the float mean of the 0/1 masks at 0.5,
-    because k/R is correctly rounded.  The three masks are recombined
+    because k/R is correctly rounded.  Only the region's union box is
+    counted: outside it k = 0 < ⌈R/2⌉.  The three masks are recombined
     through the ET > TC > WT label priority.
     """
     if not raters:
         raise EmptyInput("no raters to fuse")
     needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
-    marked = np.empty(raters[0].dims, dtype=np.min_scalar_type(len(raters)))
 
     def keep_half(masks: list[RegionMask]) -> RegionMask:
-        marked.fill(0)  # one buffer for all regions: a fresh one each re-faulted its pages
-        for mask in masks:
-            np.add(marked, mask.member, out=marked)
-        return RegionMask(marked >= needed, masks[0].region, masks[0].spacing, masks[0].affine)
+        box = _union_box([m.member for m in masks])
+        inside = [m.member[box] for m in masks]
+        marked = np.zeros(inside[0].shape, dtype=np.min_scalar_type(len(masks)))
+        for member in inside:
+            np.add(marked, member, out=marked)
+        kept = np.zeros(masks[0].dims, dtype=bool)
+        kept[box] = marked >= needed
+        return RegionMask(kept, masks[0].region, masks[0].spacing, masks[0].affine)
 
     return _fuse_regions(raters, keep_half)
 
@@ -211,11 +236,16 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     voxel's decisions are packed into one integer code and EM runs over
     the P present patterns, every sum weighted by the pattern's voxel
     count.  Per iteration the work and memory are O(R·P) with
-    P <= min(2^R, N); the only length-N arrays are the code volume, the
-    final gather index and the returned weights.  Codes are at most 64
-    bits wide, so R > 64 raises :class:`TooManyRaters`.  An E-step that
-    weighs every voxel exactly 1 (or 0) leaves the M-step nothing to divide
-    by and raises :class:`DegenerateInput`.
+    P <= min(2^R, N).  Codes are packed only inside the raters' union box:
+    every voxel outside it has pattern 0, so those voxels join pattern 0's
+    count (which is inserted when the box holds none) and take its weight.
+    N stays the whole grid, and EM sees the same (pattern, count) multiset
+    as over every voxel, so each result is bit-identical.  The code volume
+    and the gather index have the box's size; the returned weights are the
+    only length-N array.  A grid with no voxels raises :class:`EmptyInput`.
+    Codes are at most 64 bits wide, so R > 64 raises :class:`TooManyRaters`.
+    An E-step that weighs every voxel exactly 1 (or 0) leaves the M-step
+    nothing to divide by and raises :class:`DegenerateInput`.
     """
     n_raters = len(raters)
     if n_raters < 2:
@@ -224,18 +254,26 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         raise TooManyRaters(f"STAPLE supports at most {MAX_STAPLE_RATERS} raters, got {n_raters}")
     require_same_geometry(*raters)
     _require_same_region(raters)
+    n_voxels = raters[0].member.size
+    if n_voxels == 0:
+        raise EmptyInput("STAPLE on a grid with no voxels")
 
     all_marked = (1 << n_raters) - 1
     code_type = np.min_scalar_type(all_marked)
-    codes = np.zeros(raters[0].dims, dtype=code_type)
-    for j, rater in enumerate(raters):
-        codes |= rater.member.astype(code_type) << code_type.type(j)
+    box = _union_box([r.member for r in raters])
+    inside = [r.member[box] for r in raters]
+    codes = np.zeros(inside[0].shape, dtype=code_type)  # C order: searchsorted copies any other
+    for j, member in enumerate(inside):
+        codes |= member.astype(code_type) << code_type.type(j)
     patterns, counts = np.unique(codes, return_counts=True)
+    if codes.size < n_voxels:  # the voxels outside the box all have pattern 0
+        if not (patterns.size and patterns[0] == 0):
+            patterns, counts = np.insert(patterns, 0, 0), np.insert(counts, 0, 0)
+        counts[0] += n_voxels - codes.size
     if len(patterns) == 1 and int(patterns[0]) in (0, all_marked):
         raise DegenerateInput("every rater marks every voxel identically")
     shifts = np.arange(n_raters, dtype=code_type)[:, None]
     marks = (patterns[None, :] >> shifts) & 1 == 1  # (R, P)
-    n_voxels = codes.size
 
     positives = marks.sum(axis=0)
     if cfg.prior == "prevalence":
@@ -290,9 +328,11 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         )
 
     first = raters[0]
-    weight_volume = ProbabilityVolume(
-        weights[np.searchsorted(patterns, codes)], first.region, first.spacing, first.affine
-    )
+    # outside the box every voxel has pattern 0, whose weight, weights[0],
+    # can be >= 0.5 (say, under a high prior when the raters miss much)
+    weight_grid = np.full(first.dims, weights[0])
+    np.take(weights, np.searchsorted(patterns, codes), out=weight_grid[box], mode="clip")
+    weight_volume = ProbabilityVolume(weight_grid, first.region, first.spacing, first.affine)
     return StapleResult(
         weights=weight_volume,
         performances=tuple(RaterPerformance(float(p), float(q)) for p, q in zip(sens, spec)),

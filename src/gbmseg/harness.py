@@ -97,11 +97,17 @@ def _case_stem(path: Path) -> str:
 
 
 def case_files(directory) -> dict[str, Path]:
-    """Map case stem to path for every ``.nii``/``.nii.gz`` file in a directory."""
-    return {
-        _case_stem(p): p for p in sorted(Path(directory).iterdir())
-        if p.is_file() and p.name.endswith((".nii", ".nii.gz"))
-    }
+    """Map case stem to path for every ``.nii``/``.nii.gz`` file in a
+    directory; two files for one case (``c1.nii`` and ``c1.nii.gz``) raise
+    :class:`IoFailure` rather than one silently shadowing the other."""
+    files: dict[str, Path] = {}
+    for path in sorted(Path(directory).iterdir()):
+        if path.is_file() and path.name.endswith((".nii", ".nii.gz")):
+            stem = _case_stem(path)
+            if stem in files:
+                raise IoFailure(f"case {stem} has two files: {files[stem]} and {path}")
+            files[stem] = path
+    return files
 
 
 def _longest_common_substring(a: str, b: str) -> str:

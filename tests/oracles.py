@@ -2,9 +2,11 @@
 
 Everything here is deliberately written from the operation definitions
 (voxel enumeration, all-pairs distances, plain-transcription EM) rather
-than through the library's own code paths.  The exceptions are
-``hd95_full_grid`` and ``crop_and_fit_per_axis``, frozen copies of earlier
-library ``hd95`` and ``crop_and_fit``.
+than through the library's own code paths.  The exceptions are frozen
+copies of earlier library functions, kept to check that a later
+optimisation changed no result: ``hd95_full_grid`` (``hd95``),
+``crop_and_fit_per_axis`` (``crop_and_fit``), ``staple_binary_full_grid``
+(``staple_binary``) and ``majority_vote_full_grid`` (``majority_vote``).
 """
 
 from __future__ import annotations
@@ -139,3 +141,92 @@ def reference_staple(decisions: np.ndarray, n_iter: int, prior: np.ndarray, clam
             (1.0 - d) @ (1.0 - weights) / (1.0 - weights).sum(), clamp, 1.0 - clamp
         )
     return weights, sens, spec
+
+
+def staple_binary_full_grid(raters, cfg):
+    """The library's ``staple_binary`` as it was before it packed and
+    gathered only inside the raters' union box: pattern EM over the codes of
+    every voxel.  It keeps the library's ``_expit`` and ``_ordered_sum``,
+    which the box does not touch, and drops the rater-count and geometry
+    checks.  Returns a ``StapleResult``."""
+    from gbmseg.errors import DegenerateInput
+    from gbmseg.fusion import STAPLE_CLAMP, RaterPerformance, StapleResult, _expit, _ordered_sum
+    from gbmseg.volume import ProbabilityVolume, binarize
+
+    n_raters = len(raters)
+    all_marked = (1 << n_raters) - 1
+    code_type = np.min_scalar_type(all_marked)
+    codes = np.zeros(raters[0].dims, dtype=code_type)
+    for j, rater in enumerate(raters):
+        codes |= rater.member.astype(code_type) << code_type.type(j)
+    patterns, counts = np.unique(codes, return_counts=True)
+    if len(patterns) == 1 and int(patterns[0]) in (0, all_marked):
+        raise DegenerateInput("every rater marks every voxel identically")
+    shifts = np.arange(n_raters, dtype=code_type)[:, None]
+    marks = (patterns[None, :] >> shifts) & 1 == 1
+    n_voxels = codes.size
+
+    positives = marks.sum(axis=0)
+    if cfg.prior == "prevalence":
+        prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
+    elif cfg.prior == "voxelwise":
+        prior = positives / n_raters
+    else:
+        prior = np.full(len(patterns), float(cfg.prior))
+    with np.errstate(divide="ignore"):
+        log_prior = np.log(prior)
+        log_not_prior = np.log1p(-prior)
+
+    lo, hi = STAPLE_CLAMP, 1.0 - STAPLE_CLAMP
+    sens = np.full(n_raters, hi)
+    spec = np.full(n_raters, hi)
+    weights = prior
+    trace = []
+    iterations = 0
+    delta = np.inf
+    for _ in range(cfg.max_iter):
+        iterations += 1
+        log_a = log_prior + _ordered_sum(
+            np.where(marks, np.log(sens)[:, None], np.log1p(-sens)[:, None]), axis=0)
+        log_b = log_not_prior + _ordered_sum(
+            np.where(marks, np.log1p(-spec)[:, None], np.log(spec)[:, None]), axis=0)
+        new_weights = _expit(log_a - log_b)
+        trace.append(float(_ordered_sum(counts * np.logaddexp(log_a, log_b))))
+        fg_mass = counts * new_weights
+        bg_mass = counts * (1.0 - new_weights)
+        fg_total, bg_total = _ordered_sum(fg_mass), _ordered_sum(bg_mass)
+        if fg_total == 0.0 or bg_total == 0.0:
+            raise DegenerateInput(f"every weight is exactly {int(bg_total == 0.0)}")
+        sens = np.clip(_ordered_sum(np.where(marks, fg_mass, 0.0)) / fg_total, lo, hi)
+        spec = np.clip(_ordered_sum(np.where(marks, 0.0, bg_mass)) / bg_total, lo, hi)
+        delta = float(_ordered_sum(counts * np.abs(new_weights - weights))) / n_voxels
+        weights = new_weights
+        if delta < cfg.tol:
+            break
+
+    first = raters[0]
+    weight_volume = ProbabilityVolume(
+        weights[np.searchsorted(patterns, codes)], first.region, first.spacing, first.affine
+    )
+    return StapleResult(
+        weights=weight_volume,
+        performances=tuple(RaterPerformance(float(p), float(q)) for p, q in zip(sens, spec)),
+        iterations=iterations,
+        loglik_trace=tuple(trace),
+        consensus=binarize(weight_volume),
+        converged=delta < cfg.tol,
+        final_delta=delta,
+    )
+
+
+def majority_vote_full_grid(raters) -> np.ndarray:
+    """The library's ``majority_vote`` as it was before it counted only
+    inside the raters' union box, on every voxel: returns the label array."""
+    from gbmseg.volume import BRATS_LABELS
+
+    counts = np.zeros((len(BRATS_LABELS),) + raters[0].dims,
+                      dtype=np.min_scalar_type(len(raters)))
+    for rater in raters:
+        for idx, label in enumerate(BRATS_LABELS):
+            counts[idx] += rater.labels == label
+    return np.asarray(BRATS_LABELS, dtype=np.uint8)[counts.argmax(axis=0)]

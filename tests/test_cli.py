@@ -25,6 +25,13 @@ def write_labels(path, labels: LabelVolume):
     write_volume(path, NiftiHeader.for_grid(grid, DT_UINT8), grid)
 
 
+def add_uncompressed_copy(gz_path: Path) -> tuple[Path, Path]:
+    """Write ``x.nii`` beside ``x.nii.gz`` with the same volume: two files for one case."""
+    plain = gz_path.with_suffix("")
+    plain.write_bytes(gzip.decompress(gz_path.read_bytes()))
+    return gz_path, plain
+
+
 @pytest.fixture
 def phantom_dirs(tmp_path):
     """Three method directories plus ground truth for two cases."""
@@ -267,6 +274,16 @@ class TestFuse:
         warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
         assert warnings and all("without converging" in w for w in warnings)
 
+    def test_two_files_for_one_case_is_data_error(self, phantom_dirs, tmp_path, capsys):
+        method_dirs, _ = phantom_dirs
+        gz, plain = add_uncompressed_copy(method_dirs[1] / "case_001.nii.gz")
+        out = tmp_path / "x"
+        code = main(["fuse", *map(str, method_dirs), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(plain) in err and str(gz) in err and "Traceback" not in err
+        assert not (out / "case_001.nii.gz").exists()
+
     def test_deterministic_outputs(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs
         out1, out2 = tmp_path / "f1", tmp_path / "f2"
@@ -300,6 +317,19 @@ class TestEvaluateAndReport:
                          "--out", str(out)]) == 0
         assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+    @pytest.mark.parametrize("side", ["pred", "gt"])
+    def test_two_files_for_one_case_is_data_error(self, phantom_dirs, tmp_path, capsys, side):
+        method_dirs, gt_dir = phantom_dirs
+        victim_dir = method_dirs[0] if side == "pred" else gt_dir
+        gz, plain = add_uncompressed_copy(victim_dir / "case_000.nii.gz")
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--pred", str(method_dirs[0]), "--gt", str(gt_dir),
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert str(plain) in err and str(gz) in err and "Traceback" not in err
+        assert not (out / "metrics.csv").exists()
 
     def test_report_ranks_methods(self, phantom_dirs, tmp_path, capsys):
         method_dirs, gt_dir = phantom_dirs

@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,16 +28,18 @@ from gbmseg.fusion import (
     staple_regions,
 )
 from gbmseg.volume import (
+    BRATS_LABELS,
     REGIONS,
     LabelVolume,
     ProbabilityVolume,
     Region,
     RegionMask,
+    bounding_box,
     compose_regions,
     decompose_regions,
 )
 
-from oracles import reference_staple
+from oracles import majority_vote_full_grid, reference_staple, staple_binary_full_grid
 from phantoms import ball, mask_dice, nested_label_phantom, noisy_mask, noisy_rater_labels
 
 
@@ -207,6 +210,11 @@ class TestStapleBinary:
         members = [np.ones((2, 1, 1), bool)] * 4 + [np.zeros((2, 1, 1), bool)]
         with pytest.raises(DegenerateInput, match="exactly 1"):
             staple_binary([mask(m) for m in members])
+
+    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
+    def test_zero_voxel_grid_is_empty_input(self, prior_mode):
+        with pytest.raises(EmptyInput):
+            staple_binary([mask(np.zeros((0, 3, 3), bool))] * 3, StapleConfig(prior=prior_mode))
 
     def test_scalar_prior_supported(self):
         rng = np.random.default_rng(7)
@@ -471,6 +479,158 @@ class TestMeanRegions:
         with pytest.raises(GeometryMismatch):
             mean_regions([LabelVolume(np.zeros((2, 2, 2), np.uint8)),
                           LabelVolume(np.zeros((3, 2, 2), np.uint8))])
+
+
+PRIOR_MODES = st.one_of(st.sampled_from(["prevalence", "voxelwise"]),
+                        st.floats(min_value=0.05, max_value=0.95))
+
+
+@st.composite
+def boxed_stacks(draw, n_raters, dtype, elements):
+    """R arrays that are 0 outside one random box of a grid of up to 6^3
+    voxels.  The box may touch any face, hold one voxel or fill the grid;
+    the arrays are all C- or all Fortran-ordered."""
+    grid = draw(st.tuples(*[st.integers(1, 6)] * 3))
+    size = tuple(draw(st.integers(1, g)) for g in grid)
+    start = tuple(draw(st.integers(0, g - n)) for g, n in zip(grid, size))
+    stack = np.zeros((n_raters,) + grid, dtype)
+    stack[(slice(None),) + tuple(slice(a, a + n) for a, n in zip(start, size))] = draw(
+        arrays(dtype, (n_raters,) + size, elements=elements))
+    order = draw(st.sampled_from("CF"))
+    return [np.asarray(a, order=order) for a in stack]
+
+
+def _edge_stacks() -> dict[str, np.ndarray]:
+    """(4, 5, 6, 7) decision stacks for the union box's edge cases."""
+    rng = np.random.default_rng(41)
+    shape = (4, 5, 6, 7)
+    stacks = {"all_empty": np.zeros(shape, bool)}
+    one = np.zeros(shape, bool)
+    one[:2, 2, 3, 4] = True
+    stacks["one_voxel_box"] = one
+    whole = rng.random(shape) < 0.4
+    whole[0] = True  # every voxel carries rater 0's bit, so no voxel has pattern 0
+    stacks["whole_grid_without_pattern_0"] = whole
+    for axis in range(3):
+        n = shape[axis + 1]
+        for side, layer in (("low", 0), ("high", n - 1)):
+            block = [slice(1, m - 1) for m in shape[1:]]
+            block[axis] = slice(0, 2) if layer == 0 else slice(n - 2, n)
+            face = np.zeros(shape, bool)
+            face[(slice(None), *block)] = rng.random(face[(slice(None), *block)].shape) < 0.6
+            on_face = [2, 2, 2]
+            on_face[axis] = layer
+            face[(slice(None), *on_face)] = True  # the box reaches the face
+            stacks[f"face_{axis}_{side}"] = face
+    return stacks
+
+
+EDGE_STACKS = _edge_stacks()
+
+
+def _assert_staple_matches_full_grid(raters: list[RegionMask], cfg: StapleConfig) -> None:
+    try:
+        expected = staple_binary_full_grid(raters, cfg)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            staple_binary(raters, cfg)
+        return
+    result = staple_binary(raters, cfg)
+    assert np.array_equal(result.weights.prob, expected.weights.prob)
+    assert result.performances == expected.performances
+    assert result.iterations == expected.iterations
+    assert result.loglik_trace == expected.loglik_trace
+    assert result.converged == expected.converged
+    assert result.final_delta == expected.final_delta
+    assert np.array_equal(result.consensus.member, expected.consensus.member)
+
+
+def _labels_from(decisions: np.ndarray, rng) -> list[LabelVolume]:
+    """Each marked voxel takes a random tumour label, every other voxel 0."""
+    labels = np.where(decisions, rng.choice(np.array([1, 2, 4], np.uint8), decisions.shape), 0)
+    return [LabelVolume(a.astype(np.uint8)) for a in labels]
+
+
+class TestUnionBoxIsExact:
+    """Voting, the mean and STAPLE on the union box equal the same rules
+    over every voxel, bit for bit."""
+
+    @given(data=st.data(), n_raters=st.integers(min_value=2, max_value=6),
+           prior_mode=PRIOR_MODES, max_iter=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=200, deadline=None)
+    def test_staple_binary(self, data, n_raters, prior_mode, max_iter):
+        members = data.draw(boxed_stacks(n_raters, np.bool_, st.booleans()))
+        _assert_staple_matches_full_grid(
+            [mask(m) for m in members], StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
+
+    @given(data=st.data(), n_raters=st.integers(min_value=1, max_value=6))
+    @settings(max_examples=200, deadline=None)
+    def test_majority_vote_and_mean(self, data, n_raters):
+        raters = [LabelVolume(a) for a in data.draw(
+            boxed_stacks(n_raters, np.uint8, st.sampled_from(BRATS_LABELS)))]
+        assert np.array_equal(majority_vote(raters).labels, majority_vote_full_grid(raters))
+        assert np.array_equal(mean_regions(raters).labels, float_mean_fuse(raters).labels)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
+    @pytest.mark.parametrize("case", sorted(EDGE_STACKS))
+    def test_edge_cases(self, case, prior_mode, order):
+        stack = EDGE_STACKS[case]
+        for n_raters in range(2, len(stack) + 1):
+            members = [np.asarray(m, order=order) for m in stack[:n_raters]]
+            _assert_staple_matches_full_grid(
+                [mask(m) for m in members], StapleConfig(max_iter=20, tol=1e-15, prior=prior_mode))
+            raters = _labels_from(np.stack(members), np.random.default_rng(n_raters))
+            raters = [LabelVolume(np.asarray(r.labels, order=order)) for r in raters]
+            assert np.array_equal(majority_vote(raters).labels, majority_vote_full_grid(raters))
+            assert np.array_equal(mean_regions(raters).labels, float_mean_fuse(raters).labels)
+
+    def test_outside_the_box_can_be_foreground(self):
+        # Two raters each mark a random half of a box, under a prior of 0.9:
+        # EM weighs pattern 0 above 0.5, so the voxels outside the box, which
+        # no rater marks, join the consensus.
+        members = np.zeros((2, 4, 4, 4), bool)
+        members[:, 1:, 1:, 1:] = np.random.default_rng(3).random((2, 3, 3, 3)) < 0.5
+        raters = [mask(m) for m in members]
+        cfg = StapleConfig(max_iter=9, prior=0.9)
+        result = staple_binary(raters, cfg)
+        assert result.weights.prob[0, 0, 0] > 0.5 and result.consensus.member.all()
+        _assert_staple_matches_full_grid(raters, cfg)
+
+
+def _peak_traced_bytes(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestUnionBoxWorkIsBoxSized:
+    """On a 96×96×62 Fortran-ordered case whose tumour box is under 3% of
+    the grid, voting and STAPLE allocate little beyond their outputs."""
+
+    @staticmethod
+    def _raters() -> list[LabelVolume]:
+        rng = np.random.default_rng(31)
+        truth = nested_label_phantom(dims=(24, 24, 24), wt_radius=10, tc_radius=6, et_radius=3)
+        raters = []
+        for _ in range(4):
+            labels = np.zeros((96, 96, 62), np.uint8, order="F")
+            labels[30:54, 40:64, 20:44] = noisy_rater_labels(truth, rng, miss=0.1, add=0.02).labels
+            raters.append(LabelVolume(labels))
+        box = bounding_box(np.logical_or.reduce([r.labels != 0 for r in raters]))
+        assert np.prod([s.stop - s.start for s in box]) <= 0.03 * labels.size
+        return raters
+
+    def test_majority_vote_peak_under_two_bytes_a_voxel(self):
+        raters = self._raters()
+        assert _peak_traced_bytes(majority_vote, raters) < 2 * raters[0].labels.size
+
+    def test_staple_binary_peak_under_ten_bytes_a_voxel(self):
+        masks = [compose_regions(r)[2] for r in self._raters()]
+        assert _peak_traced_bytes(staple_binary, masks) < 10 * masks[0].member.size
 
 
 def region_triple(labels: LabelVolume, flip_rng=None, noise=0.0):
