@@ -90,6 +90,8 @@ def _cmd_preprocess(args) -> None:
 def _cmd_augment(args) -> None:
     spec = sample_augmentation(args.seed)
     _, grid = read_volume(args.input)
+    if args.labels:  # a foreign label raises BadLabel rather than wrapping in the uint8 write
+        grid = LabelVolume.from_grid(grid).to_grid()
     payload = "labels" if args.labels else "intensity"
     augmented = apply_augmentation(grid, spec, payload)
     datatype = DT_UINT8 if args.labels else DT_FLOAT32

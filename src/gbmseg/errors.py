@@ -62,6 +62,10 @@ class ZeroVariance(GbmsegError):
     """All brain voxels carry the same intensity; z-score is undefined."""
 
 
+class NonFiniteIntensity(GbmsegError):
+    """Some intensity is NaN or infinite, which every statistic would spread."""
+
+
 class BadAngle(GbmsegError):
     """Rotation angle outside the supported [0, 30] degree range."""
 

@@ -42,10 +42,10 @@ from .volume import (
     ProbabilityVolume,
     RegionMask,
     binarize,
-    bounding_box,
     compose_regions,
     decompose_regions,
     require_same_geometry,
+    union_box,
 )
 
 MAX_STAPLE_RATERS = 64
@@ -128,16 +128,6 @@ def average_probabilities(probs: list[ProbabilityVolume]) -> ProbabilityVolume:
     return ProbabilityVolume(mean, probs[0].region, probs[0].spacing, probs[0].affine)
 
 
-def _union_box(arrays: list[np.ndarray]) -> tuple[slice, slice, slice]:
-    """The tightest box holding every voxel that some array marks nonzero;
-    an empty box, ``(slice(0, 0),) * 3``, when none does."""
-    union = arrays[0].astype(bool, order="K")  # keeps the payload's layout: a C copy of F data is slow
-    for array in arrays[1:]:
-        np.logical_or(union, array, out=union)
-    box = bounding_box(union)
-    return (slice(0, 0),) * 3 if box is None else box
-
-
 def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     """Per-voxel plurality label; ties go to the smallest label value.
 
@@ -145,7 +135,7 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     if not raters:
         raise EmptyInput("no raters to vote")
     require_same_geometry(*raters)
-    box = _union_box([r.labels for r in raters])
+    box = union_box([r.labels for r in raters])
     inside = [r.labels[box] for r in raters]
     counts = np.zeros((len(BRATS_LABELS),) + inside[0].shape,
                       dtype=np.min_scalar_type(len(raters)))
@@ -182,7 +172,7 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
 
     def keep_half(masks: list[RegionMask]) -> RegionMask:
-        box = _union_box([m.member for m in masks])
+        box = union_box([m.member for m in masks])
         inside = [m.member[box] for m in masks]
         marked = np.zeros(inside[0].shape, dtype=np.min_scalar_type(len(masks)))
         for member in inside:
@@ -260,7 +250,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
 
     all_marked = (1 << n_raters) - 1
     code_type = np.min_scalar_type(all_marked)
-    box = _union_box([r.member for r in raters])
+    box = union_box([r.member for r in raters])
     inside = [r.member[box] for r in raters]
     codes = np.zeros(inside[0].shape, dtype=code_type)  # C order: searchsorted copies any other
     for j, member in enumerate(inside):

@@ -33,9 +33,9 @@ from .volume import (
     ProbabilityVolume,
     Region,
     RegionMask,
-    bounding_box,
     compose_regions,
     require_same_geometry,
+    union_box,
 )
 
 # The 3x3x3 cross: the centre voxel and its six face neighbours.
@@ -120,7 +120,7 @@ def hd95(a: RegionMask, b: RegionMask) -> float:
     from scipy import ndimage
 
     # Exact on the union box; see the module docstring.
-    box = bounding_box(a.member | b.member)
+    box = union_box([a.member, b.member])
     surf_a = _surface(a.member[box])
     surf_b = _surface(b.member[box])
     spacing = np.asarray(a.spacing, dtype=np.float64)

@@ -35,7 +35,6 @@ DATA_OFFSET = 352  # header + 4-byte extension flag
 
 # datatype code -> numpy dtype character
 _DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
-_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64}
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -179,13 +178,8 @@ def validate_header(raw: bytes) -> NiftiHeader:
 
 def _read_bytes(path: Path) -> bytes:
     try:
-        with open(path, "rb") as fh:
-            head = fh.read(2)
-            fh.seek(0)
-            if head == _GZIP_MAGIC:
-                with gzip.open(fh, "rb") as gz:
-                    return gz.read()
-            return fh.read()
+        raw = path.read_bytes()
+        return gzip.decompress(raw) if raw[:2] == _GZIP_MAGIC else raw
     except EOFError as err:  # gzip stream cut off before its end marker
         raise TruncatedFile(f"{path}: compressed data ends early: {err}") from err
     except (OSError, zlib.error) as err:  # BadGzipFile is an OSError
@@ -224,7 +218,8 @@ def _pack_header(header: NiftiHeader, spacing: np.ndarray, affine: np.ndarray) -
     struct.pack_into("<i", buf, 0, HEADER_SIZE)
     struct.pack_into("<c", buf, 38, b"r")  # "regular" flag, kept for convention
     struct.pack_into("<8h", buf, 40, 3, *header.dims, 1, 1, 1, 1)
-    struct.pack_into("<2h", buf, 70, header.datatype_code, _BITPIX[header.datatype_code])
+    bitpix = np.dtype(_DTYPES[header.datatype_code]).itemsize * 8
+    struct.pack_into("<2h", buf, 70, header.datatype_code, bitpix)
     struct.pack_into("<8f", buf, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
     struct.pack_into("<3f", buf, 108, float(DATA_OFFSET), header.scale_slope, header.scale_intercept)
     struct.pack_into("<B", buf, 123, 2)  # xyzt_units: millimetres

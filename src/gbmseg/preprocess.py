@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadAngle, GeometryMismatch, NoBrainVoxels, ZeroVariance
-from .volume import VoxelGrid, bounding_box, require_same_geometry
+from .errors import BadAngle, GeometryMismatch, NoBrainVoxels, NonFiniteIntensity, ZeroVariance
+from .volume import VoxelGrid, require_same_geometry, union_box
 
 DEFAULT_TARGET_DIMS = (192, 224, 160)
 
@@ -64,13 +64,17 @@ def brain_bounding_box(modalities: list[VoxelGrid]) -> BoundingBox:
     if not modalities:
         raise NoBrainVoxels("no modalities given")
     require_same_geometry(*modalities)
-    support = np.zeros(modalities[0].dims, dtype=bool)
-    for grid in modalities:
-        support |= grid.values != 0
-    box = bounding_box(support)
-    if box is None:
+    box = union_box([grid.values for grid in modalities])
+    if box == (slice(0, 0),) * 3:
         raise NoBrainVoxels("every voxel is zero in all modalities")
     return BoundingBox(tuple(s.start for s in box), tuple(s.stop for s in box))
+
+
+def _require_finite(grid: VoxelGrid) -> None:
+    """Raise NonFiniteIntensity naming how many voxels are NaN or infinite."""
+    bad = grid.values.size - np.count_nonzero(np.isfinite(grid.values))
+    if bad:
+        raise NonFiniteIntensity(f"{bad} non-finite intensity voxel(s) (NaN or inf)")
 
 
 def crop_and_fit(grid: VoxelGrid, box: BoundingBox, target_dims: tuple[int, int, int]) -> VoxelGrid:
@@ -99,8 +103,10 @@ def zscore_normalize(grid: VoxelGrid) -> VoxelGrid:
 
     Statistics are computed over nonzero voxels only (the brain, in
     skull-stripped data) using the population standard deviation; the zero
-    background stays exactly zero.
+    background stays exactly zero.  A NaN or infinite voxel raises
+    NonFiniteIntensity, since it would make every brain voxel NaN.
     """
+    _require_finite(grid)
     values = grid.values.astype(np.float64)
     brain = values != 0
     if not brain.any():
@@ -165,10 +171,12 @@ def gamma_transform(grid: VoxelGrid, gamma: float) -> VoxelGrid:
 
     Values are min-max normalized to [0, 1], raised to ``gamma``, then
     rescaled to the original range; the endpoints are preserved exactly
-    and ordering is monotone.  Constant grids pass through unchanged.
+    and ordering is monotone.  Constant grids pass through unchanged.  A
+    NaN or infinite voxel raises NonFiniteIntensity.
     """
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
+    _require_finite(grid)
     values = grid.values.astype(np.float64)
     vmin, vmax = float(values.min()), float(values.max())
     if vmin == vmax:
@@ -204,6 +212,8 @@ def apply_augmentation(grid: VoxelGrid, spec: AugmentSpec, payload: str = "inten
     """
     if payload not in ("intensity", "labels"):
         raise ValueError(f"unknown payload {payload!r}")
+    if payload == "intensity":
+        _require_finite(grid)  # before trilinear rotation spreads a NaN to its neighbours
     interp = "trilinear" if payload == "intensity" else "nearest"
     out = rotate3d(grid, spec.rotation_axis, spec.rotation_deg, interp)
     out = flip3d(out, spec.flip_axes)

@@ -175,15 +175,19 @@ def require_same_geometry(*volumes) -> None:
             )
 
 
-def bounding_box(mask: np.ndarray) -> tuple[slice, slice, slice] | None:
-    """Slices of the tightest box holding every True voxel of a 3D mask;
-    None when the mask is empty."""
+def union_box(arrays: list[np.ndarray]) -> tuple[slice, slice, slice]:
+    """Slices of the tightest box holding every voxel that some 3D array
+    marks nonzero (NaN counts, -0.0 does not, as with ``!= 0``); the empty
+    box ``(slice(0, 0),) * 3`` when none does."""
+    union = arrays[0].astype(bool, order="K")  # keeps the payload's layout: a C copy of F data is slow
+    for array in arrays[1:]:
+        np.logical_or(union, array, out=union)
     box = []
     for axis in range(3):
-        hit = np.any(mask, axis=tuple(a for a in range(3) if a != axis))
+        hit = np.any(union, axis=tuple(a for a in range(3) if a != axis))
         idx = np.flatnonzero(hit)
         if idx.size == 0:
-            return None
+            return (slice(0, 0),) * 3
         box.append(slice(int(idx[0]), int(idx[-1]) + 1))
     return tuple(box)
 

@@ -12,7 +12,7 @@ import pytest
 import gbmseg
 from gbmseg.cli import main
 from gbmseg.harness import read_metrics_csv
-from gbmseg.nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
+from gbmseg.nifti_io import DT_FLOAT32, DT_INT16, DT_UINT8, NiftiHeader, read_volume, write_volume
 from gbmseg.volume import LabelVolume, VoxelGrid
 
 from phantoms import ball, mask_dice, nested_label_phantom, noisy_rater_labels
@@ -30,6 +30,16 @@ def add_uncompressed_copy(gz_path: Path) -> tuple[Path, Path]:
     plain = gz_path.with_suffix("")
     plain.write_bytes(gzip.decompress(gz_path.read_bytes()))
     return gz_path, plain
+
+
+def write_brain_with(tmp_path, bad) -> Path:
+    """An 8^3 float32 volume whose 4^3 brain holds one voxel set to ``bad``."""
+    values = np.zeros((8, 8, 8), np.float32)
+    values[2:6, 2:6, 2:6] = np.random.default_rng(8).random((4, 4, 4)) + 0.5
+    values[3, 4, 5] = bad
+    src = tmp_path / "t1.nii"
+    write_volume(src, NiftiHeader.for_grid(VoxelGrid(values), DT_FLOAT32), VoxelGrid(values))
+    return src
 
 
 @pytest.fixture
@@ -146,6 +156,23 @@ class TestPreprocess:
         write_volume(src, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
         assert main(["preprocess", str(src), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_intensity_is_data_error(self, tmp_path, capsys, bad):
+        # one bad voxel once made every brain voxel of the output NaN
+        src = write_brain_with(tmp_path, bad)
+        out = tmp_path / "pre"
+        assert main(["preprocess", str(src), "--out", str(out), "--target", "8", "8", "8"]) == 2
+        assert "1 non-finite" in capsys.readouterr().err
+        assert not (out / src.name).exists()
+
+    def test_no_normalize_copies_a_nan_through(self, tmp_path):
+        src = write_brain_with(tmp_path, np.nan)
+        out = tmp_path / "pre"
+        assert main(["preprocess", str(src), "--out", str(out), "--target", "8", "8", "8",
+                     "--no-normalize"]) == 0
+        _, grid = read_volume(out / src.name)
+        assert np.isnan(grid.values).sum() == 1 and np.count_nonzero(grid.values) == 64
+
 
 class TestAugment:
     def test_writes_volume_and_prints_spec(self, tmp_path, capsys):
@@ -167,6 +194,27 @@ class TestAugment:
         assert main(["augment", str(src), "--seed", "3", "--out", str(out), "--labels"]) == 0
         _, grid = read_volume(out)
         assert set(np.unique(grid.values)) <= {0, 1, 2, 4}
+
+    @pytest.mark.parametrize("value, code", [(300, DT_INT16), (2.5, DT_FLOAT32),
+                                             (np.nan, DT_FLOAT32)])
+    def test_foreign_label_is_data_error(self, tmp_path, capsys, value, code):
+        # these were once written as 44 (uint8 wrap), 2 and a warned cast
+        labels = np.zeros((6, 6, 6))
+        labels[2:4, 2:4, 2:4] = 2
+        labels[3, 3, 3] = value
+        src = tmp_path / "lab.nii"
+        write_volume(src, NiftiHeader.for_grid(VoxelGrid(labels), code), VoxelGrid(labels))
+        out = tmp_path / "aug.nii"
+        assert main(["augment", str(src), "--seed", "3", "--out", str(out), "--labels"]) == 2
+        assert "labels outside {0,1,2,4}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_non_finite_intensity_is_data_error(self, tmp_path, capsys):
+        src = write_brain_with(tmp_path, np.nan)
+        out = tmp_path / "aug.nii"
+        assert main(["augment", str(src), "--seed", "3", "--out", str(out)]) == 2
+        assert "1 non-finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stdout_golden_bytes(self, tmp_path, capsys):
         src = tmp_path / "lab.nii"

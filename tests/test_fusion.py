@@ -34,9 +34,9 @@ from gbmseg.volume import (
     ProbabilityVolume,
     Region,
     RegionMask,
-    bounding_box,
     compose_regions,
     decompose_regions,
+    union_box,
 )
 
 from oracles import majority_vote_full_grid, reference_staple, staple_binary_full_grid
@@ -545,6 +545,29 @@ def _assert_staple_matches_full_grid(raters: list[RegionMask], cfg: StapleConfig
     assert np.array_equal(result.consensus.member, expected.consensus.member)
 
 
+def _staple_regions_full_grid(raters: list[LabelVolume], cfg: StapleConfig) -> LabelVolume:
+    """``staple_regions`` from full-grid parts: each rater's composed masks,
+    agreed regions passed through, the rest fused by the frozen full-grid
+    STAPLE, then the label priority."""
+    fused = []
+    for masks in zip(*(compose_regions(r) for r in raters)):
+        if all(np.array_equal(m.member, masks[0].member) for m in masks[1:]):
+            fused.append(masks[0])
+        else:
+            fused.append(staple_binary_full_grid(list(masks), cfg).consensus)
+    return decompose_regions(*fused)
+
+
+def _assert_staple_regions_matches_full_grid(raters: list[LabelVolume], cfg: StapleConfig) -> None:
+    try:
+        expected = _staple_regions_full_grid(raters, cfg)
+    except DegenerateInput:
+        with pytest.raises(DegenerateInput):
+            staple_regions(raters, cfg)
+        return
+    assert np.array_equal(staple_regions(raters, cfg).labels, expected.labels)
+
+
 def _labels_from(decisions: np.ndarray, rng) -> list[LabelVolume]:
     """Each marked voxel takes a random tumour label, every other voxel 0."""
     labels = np.where(decisions, rng.choice(np.array([1, 2, 4], np.uint8), decisions.shape), 0)
@@ -562,6 +585,15 @@ class TestUnionBoxIsExact:
         members = data.draw(boxed_stacks(n_raters, np.bool_, st.booleans()))
         _assert_staple_matches_full_grid(
             [mask(m) for m in members], StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
+
+    @given(data=st.data(), n_raters=st.integers(min_value=2, max_value=6),
+           prior_mode=PRIOR_MODES, max_iter=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=200, deadline=None)
+    def test_staple_regions(self, data, n_raters, prior_mode, max_iter):
+        raters = [LabelVolume(a) for a in data.draw(
+            boxed_stacks(n_raters, np.uint8, st.sampled_from(BRATS_LABELS)))]
+        _assert_staple_regions_matches_full_grid(
+            raters, StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
 
     @given(data=st.data(), n_raters=st.integers(min_value=1, max_value=6))
     @settings(max_examples=200, deadline=None)
@@ -597,6 +629,20 @@ class TestUnionBoxIsExact:
         assert result.weights.prob[0, 0, 0] > 0.5 and result.consensus.member.all()
         _assert_staple_matches_full_grid(raters, cfg)
 
+    def test_outside_the_box_can_be_labelled(self):
+        # The same case as label volumes: label 2 where the masks are set.
+        # ET and TC are empty everywhere and pass through; STAPLE's WT takes
+        # in every voxel outside the box, which so comes out as label 2.
+        members = np.zeros((2, 4, 4, 4), bool)
+        members[:, 1:, 1:, 1:] = np.random.default_rng(3).random((2, 3, 3, 3)) < 0.5
+        raters = [LabelVolume(np.where(m, 2, 0).astype(np.uint8)) for m in members]
+        cfg = StapleConfig(max_iter=9, prior=0.9)
+        fused = staple_regions(raters, cfg).labels
+        outside = np.ones(fused.shape, bool)
+        outside[1:, 1:, 1:] = False
+        assert (fused[outside] == 2).all()
+        _assert_staple_regions_matches_full_grid(raters, cfg)
+
 
 def _peak_traced_bytes(fn, *args) -> int:
     tracemalloc.start()
@@ -620,7 +666,7 @@ class TestUnionBoxWorkIsBoxSized:
             labels = np.zeros((96, 96, 62), np.uint8, order="F")
             labels[30:54, 40:64, 20:44] = noisy_rater_labels(truth, rng, miss=0.1, add=0.02).labels
             raters.append(LabelVolume(labels))
-        box = bounding_box(np.logical_or.reduce([r.labels != 0 for r in raters]))
+        box = union_box([r.labels for r in raters])
         assert np.prod([s.stop - s.start for s in box]) <= 0.03 * labels.size
         return raters
 

@@ -113,6 +113,15 @@ class TestReadVolume:
         assert h1.dims == h2.dims and h1.spacing == h2.spacing
         assert np.array_equal(h1.affine, h2.affine)
 
+    def test_two_gzip_members_with_zero_padding(self, tmp_path):
+        # gzip allows concatenated members, and tape-style tools pad with zeros
+        data = np.arange(64, dtype=np.float32).reshape((4, 4, 4), order="F")
+        plain = fixture_file(tmp_path, "x.nii", fixture_header(dims=(4, 4, 4)), data)
+        blob = plain.read_bytes()
+        packed = tmp_path / "x.nii.gz"
+        packed.write_bytes(gzip.compress(blob[:200]) + gzip.compress(blob[200:]) + b"\x00" * 512)
+        assert np.array_equal(read_volume(packed)[1].values, read_volume(plain)[1].values)
+
     def test_rgb_datatype_rejected(self, tmp_path):
         data = np.zeros((2, 2, 2), dtype=np.uint8)
         path = fixture_file(tmp_path, "rgb.nii", fixture_header(datatype=128), data)

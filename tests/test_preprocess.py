@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gbmseg.errors import BadAngle, GeometryMismatch, NoBrainVoxels, ZeroVariance
+from gbmseg.errors import (
+    BadAngle,
+    GeometryMismatch,
+    NoBrainVoxels,
+    NonFiniteIntensity,
+    ZeroVariance,
+)
 from gbmseg.preprocess import (
     AugmentSpec,
     BoundingBox,
@@ -126,6 +132,15 @@ class TestZscoreNormalize:
         with pytest.raises(NoBrainVoxels):
             zscore_normalize(VoxelGrid(np.zeros((3, 3, 3))))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_raises_with_count(self, bad):
+        # one NaN once turned every brain voxel NaN; inf also warned twice
+        values = np.zeros((8, 8, 8), np.float32)
+        values[2:6, 2:6, 2:6] = np.random.default_rng(5).random((4, 4, 4)) + 0.5
+        values[3, 4, 2] = values[5, 5, 5] = bad
+        with pytest.raises(NonFiniteIntensity, match=r"\b2 non-finite"):
+            zscore_normalize(VoxelGrid(values))
+
     def test_output_statistics(self):
         rng = np.random.default_rng(3)
         for _ in range(10):
@@ -238,6 +253,13 @@ class TestGammaTransform:
         with pytest.raises(ValueError):
             gamma_transform(VoxelGrid(np.zeros((2, 2, 2))), 0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_voxel_raises_with_count(self, bad):
+        values = np.random.default_rng(6).random((4, 4, 4))
+        values[1, 2, 3] = bad
+        with pytest.raises(NonFiniteIntensity, match=r"\b1 non-finite"):
+            gamma_transform(VoxelGrid(values), 1.3)
+
 
 class TestSampleAugmentation:
     def test_deterministic_in_seed(self):
@@ -269,6 +291,14 @@ class TestSampleAugmentation:
 
 
 class TestApplyAugmentation:
+    def test_non_finite_intensity_counted_before_rotation(self):
+        # rotating first would spread the one NaN to its neighbours
+        values = np.random.default_rng(12).random((8, 8, 8))
+        values[4, 4, 4] = np.nan
+        spec = AugmentSpec(0, 20.0, (), 1.2, seed=0)
+        with pytest.raises(NonFiniteIntensity, match=r"\b1 non-finite"):
+            apply_augmentation(VoxelGrid(values), spec)
+
     def test_label_payload_keeps_label_set_and_skips_gamma(self):
         rng = np.random.default_rng(10)
         values = rng.choice(np.array([0, 1, 2, 4], np.uint8), size=(12, 12, 12))

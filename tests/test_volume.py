@@ -17,11 +17,11 @@ from gbmseg.volume import (
     RegionMask,
     VoxelGrid,
     binarize,
-    bounding_box,
     compose_regions,
     count_label,
     decompose_regions,
     same_geometry,
+    union_box,
 )
 
 from phantoms import random_label_volume
@@ -163,14 +163,38 @@ class TestCountLabel:
             assert total == vol.labels.size
 
 
+@st.composite
+def marked_arrays(draw, shape):
+    """A mostly-zero array of the given shape: bool, uint8, int16 or
+    float32, in C, F or strided layout, with NaN, ±inf and -0.0 injected
+    into floats."""
+    dtype = np.dtype(draw(st.sampled_from([np.bool_, np.uint8, np.int16, np.float32])))
+    base = draw(arrays(dtype, shape, elements=st.sampled_from([0, 0, 0, 1]).map(dtype.type)))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    if layout == "strided":
+        # the view skips nonzero voxels, which must not widen the box
+        outer = np.ones((2 * shape[0], shape[1] + 1, 2 * shape[2]), dtype=dtype)
+        array = outer[::2, 1:, ::-2]
+        array[...] = base
+    else:
+        array = np.array(base, order=layout)
+    if dtype.kind == "f":
+        for _ in range(draw(st.integers(0, 3))):
+            index = tuple(draw(st.integers(0, n - 1)) for n in shape)
+            array[index] = draw(st.sampled_from([np.nan, np.inf, -np.inf, -0.0]))
+    return array
+
+
 class TestBoundingBox:
-    @given(arrays(bool, st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6))))
+    @given(st.data(), st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(1, 6)),
+           st.integers(1, 4))
     @settings(max_examples=200)
-    def test_matches_voxel_enumeration(self, member):
-        coords = np.argwhere(member)
-        box = bounding_box(member)
+    def test_matches_voxel_enumeration(self, data, shape, n_arrays):
+        marked = [data.draw(marked_arrays(shape)) for _ in range(n_arrays)]
+        coords = np.argwhere(np.logical_or.reduce([a != 0 for a in marked]))
+        box = union_box(marked)
         if coords.size == 0:
-            assert box is None
+            assert box == (slice(0, 0),) * 3
             return
         low = coords.min(axis=0)
         high = coords.max(axis=0) + 1
