@@ -14,11 +14,12 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import GbmsegError, NoMatchedCases
+from .errors import GbmsegError, IoFailure, NoMatchedCases
 from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     aggregate,
     build_report,
+    case_context,
     case_files,
     evaluate_dataset,
     rank_all,
@@ -74,8 +75,14 @@ def _write_labels(path: Path, labels: LabelVolume) -> None:
 
 def _cmd_preprocess(args) -> None:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs = [Path(p) for p in args.inputs]
+    by_name: dict[str, Path] = {}
+    for path in inputs:  # each input is written to out_dir / its file name
+        if path.name in by_name:
+            raise IoFailure(f"{by_name[path.name]} and {path} would both be written to "
+                            f"{out_dir / path.name}")
+        by_name[path.name] = path
+    out_dir.mkdir(parents=True, exist_ok=True)
     grids = [read_volume(p)[1] for p in inputs]
     box = brain_bounding_box(grids)
     target = tuple(args.target)
@@ -84,7 +91,8 @@ def _cmd_preprocess(args) -> None:
         if not args.no_normalize:
             fitted = zscore_normalize(fitted)
         write_volume(out_dir / path.name, NiftiHeader.for_grid(fitted, DT_FLOAT32), fitted)
-    print(f"preprocessed {len(inputs)} volume(s) to {out_dir} (brain box {box.size})")
+    size = tuple(s.stop - s.start for s in box)
+    print(f"preprocessed {len(inputs)} volume(s) to {out_dir} (brain box {size})")
 
 
 def _cmd_augment(args) -> None:
@@ -114,14 +122,15 @@ def _cmd_fuse(args) -> None:
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
     for case_id in common:
         raters = [read_labels(d[case_id], case_id) for d in per_dir]
-        if args.method == "vote":
-            fused = majority_vote(raters)
-        elif args.method == "mean":
-            fused = mean_regions(raters)
-        else:
-            fused = staple_regions(raters, staple_cfg)
-        fused = et_threshold_relabel(fused, args.et_threshold)
-        _write_labels(out_dir / f"{case_id}.nii.gz", fused)
+        with case_context(case_id):
+            if args.method == "vote":
+                fused = majority_vote(raters)
+            elif args.method == "mean":
+                fused = mean_regions(raters)
+            else:
+                fused = staple_regions(raters, staple_cfg)
+            fused = et_threshold_relabel(fused, args.et_threshold)
+            _write_labels(out_dir / f"{case_id}.nii.gz", fused)
     print(f"fused {len(common)} case(s) with method={args.method} to {out_dir}")
 
 

@@ -9,9 +9,9 @@ STAPLE independently per evaluated region and recombines the consensus
 masks through the deterministic label priority.
 
 STAPLE's E-step takes the logistic of one log-odds value per rater
-decision pattern, at most min(2^R, N) of them, so it is computed one
-pattern at a time with the C library's ``exp``: exactly as
-``scipy.special.expit`` computes it, bit for bit, without loading SciPy.
+decision pattern, at most min(2^R, N) of them, one at a time with the C
+library's ``exp``, bit for bit as ``scipy.special.expit`` computes it but
+without loading SciPy.  Its result keeps one weight per pattern.
 
 Voting, the mean and STAPLE work only inside the union box: the tightest
 box holding every voxel that some input marks nonzero.  Outside it every
@@ -96,14 +96,16 @@ class StapleConfig:
 
 @dataclass(frozen=True)
 class StapleResult:
-    """EM output: consensus weights, per-rater performance, and the
-    log-likelihood trace (non-decreasing, one entry per iteration).
+    """EM output: one foreground weight per decision pattern present,
+    per-rater performance, and the log-likelihood trace (non-decreasing,
+    one entry per iteration).  Bit j of a pattern code is set when rater j
+    marks the voxel; ``patterns`` ascends, and a voxel of code c weighs
+    ``weights[searchsorted(patterns, c)]``.  ``final_delta`` is the mean
+    absolute weight change of the last iteration; ``converged`` is whether
+    it fell below ``tol`` (False means EM stopped at ``max_iter``)."""
 
-    ``final_delta`` is the mean absolute weight change of the last
-    iteration; ``converged`` is whether it fell below ``tol`` (False means
-    EM stopped at ``max_iter``)."""
-
-    weights: ProbabilityVolume
+    patterns: np.ndarray
+    weights: np.ndarray
     performances: tuple[RaterPerformance, ...]
     iterations: int
     loglik_trace: tuple[float, ...]
@@ -222,19 +224,17 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     ``max_iter`` without converging is logged as a warning.
 
     Pattern form: under every prior mode a voxel's weight depends only on
-    its R-bit decision pattern (bit j set when rater j marks it), so each
-    voxel's decisions are packed into one integer code and EM runs over
+    its R-bit decision pattern (see :class:`StapleResult`), so EM runs over
     the P present patterns, every sum weighted by the pattern's voxel
-    count.  Per iteration the work and memory are O(R·P) with
-    P <= min(2^R, N).  Codes are packed only inside the raters' union box:
-    every voxel outside it has pattern 0, so those voxels join pattern 0's
-    count (which is inserted when the box holds none) and take its weight.
-    N stays the whole grid, and EM sees the same (pattern, count) multiset
-    as over every voxel, so each result is bit-identical.  The code volume
-    and the gather index have the box's size; the returned weights are the
-    only length-N array.  A grid with no voxels raises :class:`EmptyInput`.
-    Codes are at most 64 bits wide, so R > 64 raises :class:`TooManyRaters`.
-    An E-step that weighs every voxel exactly 1 (or 0) leaves the M-step
+    count: O(R·P) work and memory per iteration, P <= min(2^R, N).  Codes
+    are packed only inside the raters' union box; every voxel outside it
+    has pattern 0, so it joins pattern 0's count (inserted when the box
+    holds none) and takes pattern 0's decision.  N stays the whole grid,
+    and EM sees the same (pattern, count) multiset as over every voxel, so
+    each result is bit-identical.  Only the boolean consensus has the
+    grid's size.  A grid with no voxels raises :class:`EmptyInput`.  Codes
+    are at most 64 bits wide, so R > 64 raises :class:`TooManyRaters`.  An
+    E-step that weighs every voxel exactly 1 (or 0) leaves the M-step
     nothing to divide by and raises :class:`DegenerateInput`.
     """
     n_raters = len(raters)
@@ -318,17 +318,16 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         )
 
     first = raters[0]
-    # outside the box every voxel has pattern 0, whose weight, weights[0],
-    # can be >= 0.5 (say, under a high prior when the raters miss much)
-    weight_grid = np.full(first.dims, weights[0])
-    np.take(weights, np.searchsorted(patterns, codes), out=weight_grid[box], mode="clip")
-    weight_volume = ProbabilityVolume(weight_grid, first.region, first.spacing, first.affine)
+    # outside the box is pattern 0, whose weight can be >= 0.5 (say, under a high prior)
+    member = np.full(first.dims, weights[0] >= 0.5)
+    member[box] = (weights >= 0.5)[np.searchsorted(patterns, codes)]
     return StapleResult(
-        weights=weight_volume,
+        patterns=patterns,
+        weights=weights,
         performances=tuple(RaterPerformance(float(p), float(q)) for p, q in zip(sens, spec)),
         iterations=iterations,
         loglik_trace=tuple(trace),
-        consensus=binarize(weight_volume),
+        consensus=RegionMask(member, first.region, first.spacing, first.affine),
         converged=converged,
         final_delta=delta,
     )

@@ -22,6 +22,7 @@ import csv
 import json
 import logging
 import math
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
 from difflib import SequenceMatcher
 from pathlib import Path
@@ -198,6 +199,15 @@ def read_labels(path, case_id: str) -> LabelVolume:
         raise UnreadableVolume(f"case {case_id}: {path}: {err}") from err
 
 
+@contextmanager
+def case_context(case_id: str):
+    """Prefix ``case <id>: `` to a GbmsegError raised inside, keeping its class."""
+    try:
+        yield
+    except GbmsegError as err:
+        raise type(err)(f"case {case_id}: {err}") from err
+
+
 def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
     """Evaluate every matched prediction/ground-truth pair in two trees."""
     pairs = pair_cases(pred_dir, gt_dir, manifest)
@@ -207,7 +217,8 @@ def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
     for case_id, pred_path, gt_path in pairs:
         pred = read_labels(pred_path, case_id)
         gt = read_labels(gt_path, case_id)
-        results.append(evaluate_case(pred, gt, case_id=case_id))
+        with case_context(case_id):
+            results.append(evaluate_case(pred, gt, case_id=case_id))
     return results
 
 

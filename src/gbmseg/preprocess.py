@@ -27,22 +27,6 @@ _ROTATION_PLANES = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
 
 
 @dataclass(frozen=True)
-class BoundingBox:
-    """Half-open axis-aligned voxel box: low inclusive, high exclusive."""
-
-    low: tuple[int, int, int]
-    high: tuple[int, int, int]
-
-    def __post_init__(self):
-        if any(l >= h for l, h in zip(self.low, self.high)):
-            raise ValueError(f"empty box: low={self.low} high={self.high}")
-
-    @property
-    def size(self) -> tuple[int, int, int]:
-        return tuple(h - l for l, h in zip(self.low, self.high))
-
-
-@dataclass(frozen=True)
 class AugmentSpec:
     """One sampled augmentation: rotate, flip, gamma — in that order."""
 
@@ -53,21 +37,24 @@ class AugmentSpec:
     seed: int
 
     def __post_init__(self):
+        if self.rotation_axis not in _ROTATION_PLANES:
+            raise ValueError(f"rotation_axis must be 0, 1 or 2, got {self.rotation_axis}")
         if not ROTATION_RANGE_DEG[0] <= self.rotation_deg <= ROTATION_RANGE_DEG[1]:
             raise BadAngle(f"rotation_deg {self.rotation_deg} outside {ROTATION_RANGE_DEG}")
         if self.gamma <= 0:
             raise ValueError(f"gamma must be positive, got {self.gamma}")
 
 
-def brain_bounding_box(modalities: list[VoxelGrid]) -> BoundingBox:
-    """Tightest box containing every voxel nonzero in any modality."""
+def brain_bounding_box(modalities: list[VoxelGrid]) -> tuple[slice, slice, slice]:
+    """Tightest box containing every voxel nonzero in any modality, as
+    ``volume.union_box`` gives it: one slice per axis."""
     if not modalities:
         raise NoBrainVoxels("no modalities given")
     require_same_geometry(*modalities)
     box = union_box([grid.values for grid in modalities])
     if box == (slice(0, 0),) * 3:
         raise NoBrainVoxels("every voxel is zero in all modalities")
-    return BoundingBox(tuple(s.start for s in box), tuple(s.stop for s in box))
+    return box
 
 
 def _require_finite(grid: VoxelGrid) -> None:
@@ -77,21 +64,25 @@ def _require_finite(grid: VoxelGrid) -> None:
         raise NonFiniteIntensity(f"{bad} non-finite intensity voxel(s) (NaN or inf)")
 
 
-def crop_and_fit(grid: VoxelGrid, box: BoundingBox, target_dims: tuple[int, int, int]) -> VoxelGrid:
+def crop_and_fit(grid: VoxelGrid, box: tuple[slice, slice, slice],
+                 target_dims: tuple[int, int, int]) -> VoxelGrid:
     """Center the box contents inside a grid of exactly ``target_dims``.
 
     Per axis the target window starts ``int((target - size) / 2)`` voxels
     before the box: a smaller box is zero-padded and a larger one
     center-cropped, and truncation toward zero puts an odd remainder on the
     high side in both cases.  The affine is translated so every retained
-    voxel keeps its world coordinates.
+    voxel keeps its world coordinates.  The box is one slice per axis; an
+    empty one, an open end, a step or a slice leaving the grid raises
+    GeometryMismatch.
     """
-    if any(l < 0 or h > d for l, h, d in zip(box.low, box.high, grid.dims)):
-        raise GeometryMismatch(f"box {box} exceeds grid dims {grid.dims}")
+    if len(box) != 3 or any(s.step not in (None, 1) or None in (s.start, s.stop)
+                            or not 0 <= s.start < s.stop <= d for s, d in zip(box, grid.dims)):
+        raise GeometryMismatch(f"box {box} is not a non-empty box inside grid dims {grid.dims}")
     out = np.zeros(tuple(target_dims), dtype=grid.values.dtype)
-    origin = [l - int((t - (h - l)) / 2) for l, h, t in zip(box.low, box.high, target_dims)]
-    src = tuple(slice(max(l, o), min(h, o + t))
-                for l, h, o, t in zip(box.low, box.high, origin, target_dims))
+    origin = [s.start - int((t - (s.stop - s.start)) / 2) for s, t in zip(box, target_dims)]
+    src = tuple(slice(max(s.start, o), min(s.stop, o + t))
+                for s, o, t in zip(box, origin, target_dims))
     out[tuple(slice(s.start - o, s.stop - o) for s, o in zip(src, origin))] = grid.values[src]
     affine = grid.affine.copy()
     affine[:3, 3] = grid.affine[:3, 3] + grid.affine[:3, :3] @ np.asarray(origin, dtype=np.float64)
@@ -145,6 +136,8 @@ def rotate3d(
         raise BadAngle(f"degrees {degrees} outside {ROTATION_RANGE_DEG}")
     if interpolation not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
+    if axis not in _ROTATION_PLANES:
+        raise ValueError(f"axis must be 0, 1 or 2, got {axis}")
     if degrees == 0.0:
         return VoxelGrid(grid.values.copy(), grid.spacing, grid.affine)
     order = 1 if interpolation == "trilinear" else 0

@@ -154,25 +154,26 @@ class ProbabilityVolume(_Volume):
         return prob
 
 
-def same_geometry(a, b) -> bool:
-    """True when two volumes share dims, spacing, and affine (within 1e-5).
+def geometry_difference(a, b) -> str:
+    """The first of dims, spacing and affine (within 1e-5) in which two
+    volumes differ, with the values; "" when they share all three.
 
     Spacing is compared on its own: a volume read from disk takes it from
     pixdim and its affine from the sform, and the two may disagree."""
-    return (
-        a.dims == b.dims
-        and np.allclose(a.spacing, b.spacing, atol=_GEOMETRY_ATOL)
-        and np.allclose(a.affine, b.affine, atol=_GEOMETRY_ATOL)
-    )
+    if a.dims != b.dims:
+        return f"dims {a.dims} vs {b.dims}"
+    if not np.allclose(a.spacing, b.spacing, atol=_GEOMETRY_ATOL):
+        return f"spacing {a.spacing} vs {b.spacing}"
+    if not np.allclose(a.affine, b.affine, atol=_GEOMETRY_ATOL):
+        return f"affine entries differ by up to {np.abs(a.affine - b.affine).max():.3g}"
+    return ""
 
 
 def require_same_geometry(*volumes) -> None:
-    first = volumes[0]
     for other in volumes[1:]:
-        if not same_geometry(first, other):
-            raise GeometryMismatch(
-                f"geometry differs: dims {first.dims} vs {other.dims}"
-            )
+        difference = geometry_difference(volumes[0], other)
+        if difference:
+            raise GeometryMismatch(f"geometry differs: {difference}")
 
 
 def union_box(arrays: list[np.ndarray]) -> tuple[slice, slice, slice]:

@@ -209,7 +209,8 @@ def staple_binary_full_grid(raters, cfg):
         weights[np.searchsorted(patterns, codes)], first.region, first.spacing, first.affine
     )
     return StapleResult(
-        weights=weight_volume,
+        patterns=patterns,
+        weights=weights,
         performances=tuple(RaterPerformance(float(p), float(q)) for p, q in zip(sens, spec)),
         iterations=iterations,
         loglik_trace=tuple(trace),

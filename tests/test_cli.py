@@ -144,6 +144,8 @@ class TestPreprocess:
         code = main(["preprocess", str(src), "--out", str(out_dir),
                      "--target", "20", "20", "20"])
         assert code == 0
+        assert capsys.readouterr().out == (
+            f"preprocessed 1 volume(s) to {out_dir} (brain box (16, 18, 16))\n")
         _, result = read_volume(out_dir / "t1.nii.gz")
         assert result.dims == (20, 20, 20)
         brain = result.values[result.values != 0]
@@ -172,6 +174,25 @@ class TestPreprocess:
                      "--no-normalize"]) == 0
         _, grid = read_volume(out / src.name)
         assert np.isnan(grid.values).sum() == 1 and np.count_nonzero(grid.values) == 64
+
+
+    def test_repeated_output_name_is_data_error(self, tmp_path, capsys):
+        # a/t1.nii.gz and b/t1.nii.gz were once both written to one output
+        # file, b's over a's, with exit 0 and "preprocessed 2 volume(s)"
+        srcs = []
+        for sub, scale in (("a", 1.0), ("b", 2.0)):
+            values = np.zeros((8, 8, 8))
+            values[2:6, 2:6, 2:6] = scale
+            (tmp_path / sub).mkdir()
+            srcs.append(tmp_path / sub / "t1.nii.gz")
+            write_volume(srcs[-1], NiftiHeader.for_grid(VoxelGrid(values), DT_FLOAT32),
+                         VoxelGrid(values))
+        out = tmp_path / "pre"
+        assert main(["preprocess", *map(str, srcs), "--out", str(out), "--target", "8", "8", "8",
+                     "--no-normalize"]) == 2
+        captured = capsys.readouterr()
+        assert str(srcs[0]) in captured.err and str(srcs[1]) in captured.err
+        assert captured.out == "" and not list(out.glob("*"))
 
 
 class TestAugment:
@@ -332,6 +353,20 @@ class TestFuse:
         assert str(plain) in err and str(gz) in err and "Traceback" not in err
         assert not (out / "case_001.nii.gz").exists()
 
+    def test_geometry_error_names_the_case_and_the_field(self, tmp_path, capsys):
+        # once only "geometry differs: dims (6, 6, 6) vs (6, 6, 6)"
+        method_dirs = [tmp_path / f"m{i}" for i in range(3)]
+        for i, d in enumerate(method_dirs):
+            d.mkdir()
+            for cid in ("c1", "c2", "c3"):
+                spacing = (1, 1, 2) if (cid, i) == ("c3", 2) else (1, 1, 1)
+                labels = nested_label_phantom((6, 6, 6), 2.5, 1.5, 1.0).labels
+                write_labels(d / f"{cid}.nii.gz", LabelVolume(labels, spacing))
+        assert main(["fuse", *map(str, method_dirs), "--out", str(tmp_path / "x")]) == 2
+        err = capsys.readouterr().err
+        assert "case c3: " in err
+        assert "spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 2.0)" in err and "Traceback" not in err
+
     def test_deterministic_outputs(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs
         out1, out2 = tmp_path / "f1", tmp_path / "f2"
@@ -365,6 +400,22 @@ class TestEvaluateAndReport:
                          "--out", str(out)]) == 0
         assert (outs[0] / "metrics.csv").read_bytes() == (outs[1] / "metrics.csv").read_bytes()
         assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+    def test_geometry_error_names_the_case(self, tmp_path, capsys):
+        # once only "geometry differs: dims (6, 6, 6) vs (6, 6, 7)"
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        for cid in ("c1", "c2", "c3"):
+            write_labels(pred_dir / f"{cid}.nii.gz", nested_label_phantom((6, 6, 6), 2.5, 1.5, 1.0))
+            truth_dims = (6, 6, 7) if cid == "c2" else (6, 6, 6)
+            write_labels(gt_dir / f"{cid}.nii.gz", nested_label_phantom(truth_dims, 2.5, 1.5, 1.0))
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--pred", str(pred_dir), "--gt", str(gt_dir), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "case c2: " in err and "dims (6, 6, 6) vs (6, 6, 7)" in err
+        assert not (out / "metrics.csv").exists()
 
     @pytest.mark.parametrize("side", ["pred", "gt"])
     def test_two_files_for_one_case_is_data_error(self, phantom_dirs, tmp_path, capsys, side):

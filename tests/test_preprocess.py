@@ -12,7 +12,6 @@ from gbmseg.errors import (
 )
 from gbmseg.preprocess import (
     AugmentSpec,
-    BoundingBox,
     apply_augmentation,
     brain_bounding_box,
     crop_and_fit,
@@ -32,18 +31,14 @@ class TestBrainBoundingBox:
     def test_single_nonzero_voxel(self):
         values = np.zeros((8, 8, 8))
         values[3, 4, 5] = 1.0
-        box = brain_bounding_box([VoxelGrid(values)])
-        assert box.low == (3, 4, 5)
-        assert box.high == (4, 5, 6)
+        assert brain_bounding_box([VoxelGrid(values)]) == (slice(3, 4), slice(4, 5), slice(5, 6))
 
     def test_union_over_modalities_spans_the_grid(self):
         a = np.zeros((8, 8, 8))
         b = np.zeros((8, 8, 8))
         a[0, 0, 0] = 1.0
         b[7, 7, 7] = 1.0
-        box = brain_bounding_box([VoxelGrid(a), VoxelGrid(b)])
-        assert box.low == (0, 0, 0)
-        assert box.high == (8, 8, 8)
+        assert brain_bounding_box([VoxelGrid(a), VoxelGrid(b)]) == (slice(0, 8),) * 3
 
     def test_all_zero_inputs(self):
         with pytest.raises(NoBrainVoxels):
@@ -70,18 +65,18 @@ class TestCropAndFit:
         rng = np.random.default_rng(0)
         values = rng.standard_normal((10, 10, 10))
         grid = VoxelGrid(values)
-        out = crop_and_fit(grid, BoundingBox((2, 3, 4), (6, 7, 8)), (4, 4, 4))
+        out = crop_and_fit(grid, (slice(2, 6), slice(3, 7), slice(4, 8)), (4, 4, 4))
         assert np.array_equal(out.values, values[2:6, 3:7, 4:8])
 
     def test_oversize_box_trims_four_each_side(self):
         values = np.arange(200, dtype=np.float64).reshape(200, 1, 1)
-        out = crop_and_fit(VoxelGrid(values), BoundingBox((0, 0, 0), (200, 1, 1)), (192, 1, 1))
+        out = crop_and_fit(VoxelGrid(values), (slice(0, 200), slice(0, 1), slice(0, 1)), (192, 1, 1))
         # (200 - 192) / 2 = 4 trimmed per side
         assert np.array_equal(out.values.ravel(), np.arange(4, 196, dtype=np.float64))
 
     def test_odd_padding_extra_voxel_on_high_side(self):
         values = np.ones((3, 1, 1))
-        out = crop_and_fit(VoxelGrid(values), BoundingBox((0, 0, 0), (3, 1, 1)), (6, 1, 1))
+        out = crop_and_fit(VoxelGrid(values), (slice(0, 3), slice(0, 1), slice(0, 1)), (6, 1, 1))
         # pad = 3: one low, two high
         assert out.values.ravel().tolist() == [0, 1, 1, 1, 0, 0]
 
@@ -92,7 +87,7 @@ class TestCropAndFit:
         affine[:3, 3] = [10.0, -20.0, 5.0]
         values = rng.standard_normal((12, 12, 12))
         grid = VoxelGrid(values, spacing=(1.5, 1.5, 2.0), affine=affine)
-        box = BoundingBox((2, 3, 4), (10, 11, 12))
+        box = (slice(2, 10), slice(3, 11), slice(4, 12))
         out = crop_and_fit(grid, box, (6, 10, 6))
         # voxel (v) in output at index o maps to input index origin + o
         for out_idx, in_idx in [((0, 1, 0), (3, 3, 5)), ((2, 4, 3), (5, 6, 8))]:
@@ -100,6 +95,18 @@ class TestCropAndFit:
             world_out = out.affine @ np.array([*out_idx, 1.0])
             world_in = grid.affine @ np.array([*in_idx, 1.0])
             assert np.allclose(world_out, world_in)
+
+    @pytest.mark.parametrize("box", [
+        (slice(2, 2), slice(0, 4), slice(0, 4)),
+        (slice(0, 4, 2), slice(0, 4), slice(0, 4)),
+        (slice(0, 5), slice(0, 4), slice(0, 4)),
+        (slice(-1, 3), slice(0, 4), slice(0, 4)),
+        (slice(None, 3), slice(0, 4), slice(0, 4)),
+        (slice(0, 4), slice(0, 4)),
+    ], ids=["empty", "step", "past_the_high_face", "negative_start", "open_start", "two_axes"])
+    def test_box_not_inside_the_grid(self, box):
+        with pytest.raises(GeometryMismatch):
+            crop_and_fit(VoxelGrid(np.ones((4, 4, 4))), box, (4, 4, 4))
 
     def test_output_dims_always_target(self):
         rng = np.random.default_rng(2)
@@ -217,6 +224,13 @@ class TestRotate3d:
         with pytest.raises(BadAngle):
             rotate3d(VoxelGrid(np.zeros((4, 4, 4))), 0, degrees)
 
+    @pytest.mark.parametrize("axis", [-1, 3, 9])
+    @pytest.mark.parametrize("degrees", [0.0, 10.0])
+    def test_axis_outside_range(self, axis, degrees):
+        # once a bare KeyError at 10 degrees, and any axis accepted at 0
+        with pytest.raises(ValueError, match="axis"):
+            rotate3d(VoxelGrid(np.zeros((4, 4, 4))), axis, degrees)
+
     def test_trilinear_on_labels_would_blur_so_mask_uses_nearest(self):
         mask = ball((16, 16, 16), 5.0)
         out = rotate3d(VoxelGrid(mask), 2, 20.0, interpolation="trilinear")
@@ -288,6 +302,8 @@ class TestSampleAugmentation:
             AugmentSpec(0, 31.0, (), 1.0, seed=0)
         with pytest.raises(ValueError):
             AugmentSpec(0, 10.0, (), 0.0, seed=0)
+        with pytest.raises(ValueError, match="axis"):  # once a KeyError in apply_augmentation
+            AugmentSpec(9, 10.0, (), 1.0, seed=0)
 
 
 class TestApplyAugmentation:

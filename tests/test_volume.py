@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 from unittest import mock
 
@@ -20,7 +21,8 @@ from gbmseg.volume import (
     compose_regions,
     count_label,
     decompose_regions,
-    same_geometry,
+    geometry_difference,
+    require_same_geometry,
     union_box,
 )
 
@@ -90,7 +92,7 @@ class TestComposeRegions:
         et, tc, wt = compose_regions(vol)
         assert (et.region, tc.region, wt.region) == (Region.ET, Region.TC, Region.WT)
         assert et.spacing == (1.0, 2.0, 3.0)
-        assert same_geometry(et, vol)
+        assert geometry_difference(et, vol) == ""
 
     @given(label_arrays)
     @settings(max_examples=50)
@@ -131,6 +133,25 @@ class TestDecomposeRegions:
         m = [RegionMask(np.zeros((2, 2, 2), bool), r) for r in (Region.TC, Region.ET, Region.WT)]
         with pytest.raises(RegionMismatch):
             decompose_regions(*m)
+
+
+def _shifted_affine() -> np.ndarray:
+    affine = np.eye(4)
+    affine[0, 3] = 0.5
+    return affine
+
+
+@pytest.mark.parametrize("other, named", [
+    (LabelVolume(np.zeros((2, 2, 3), np.uint8)), "dims (2, 2, 2) vs (2, 2, 3)"),
+    (LabelVolume(np.zeros((2, 2, 2), np.uint8), spacing=(1, 1, 2)),
+     "spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 2.0)"),
+    (LabelVolume(np.zeros((2, 2, 2), np.uint8), affine=_shifted_affine()),
+     "affine entries differ by up to 0.5"),
+], ids=["dims", "spacing", "affine"])
+def test_geometry_error_names_what_differs(other, named):
+    # once always "dims", even when the dims were equal
+    with pytest.raises(GeometryMismatch, match=re.escape(f"geometry differs: {named}") + "$"):
+        require_same_geometry(LabelVolume(np.zeros((2, 2, 2), np.uint8)), other)
 
 
 class TestBinarize:
