@@ -31,7 +31,7 @@ from .harness import (
     write_metrics_csv,
 )
 from .nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
-from .postprocess import et_threshold_relabel
+from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from .preprocess import (
     DEFAULT_TARGET_DIMS,
     apply_augmentation,
@@ -68,6 +68,15 @@ def _positive(convert, zero_ok: bool = False):
     return parse
 
 
+def _refuse_overwrite(inputs: list[Path], outputs: list[Path]) -> None:
+    """Raise IoFailure if an output path resolves to an input file."""
+    resolved = {p.resolve(): p for p in inputs}
+    for out in outputs:
+        source = resolved.get(out.resolve())
+        if source is not None:
+            raise IoFailure(f"output {out} would overwrite input {source}")
+
+
 def _write_labels(path: Path, labels: LabelVolume) -> None:
     grid = labels.to_grid()
     write_volume(path, NiftiHeader.for_grid(grid, DT_UINT8), grid)
@@ -82,6 +91,7 @@ def _cmd_preprocess(args) -> None:
             raise IoFailure(f"{by_name[path.name]} and {path} would both be written to "
                             f"{out_dir / path.name}")
         by_name[path.name] = path
+    _refuse_overwrite(inputs, [out_dir / p.name for p in inputs])
     out_dir.mkdir(parents=True, exist_ok=True)
     grids = [read_volume(p)[1] for p in inputs]
     box = brain_bounding_box(grids)
@@ -110,7 +120,6 @@ def _cmd_augment(args) -> None:
 def _cmd_fuse(args) -> None:
     method_dirs = [Path(d) for d in args.methods]
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     per_dir = [case_files(d) for d in method_dirs]
     common = sorted(set.intersection(*(set(d) for d in per_dir)))
     for d, cases in zip(method_dirs, per_dir):
@@ -118,11 +127,14 @@ def _cmd_fuse(args) -> None:
             logger.warning("case %s only present in %s; skipped", missing, d)
     if not common:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")
+    _refuse_overwrite([d[c] for d in per_dir for c in common],
+                      [out_dir / f"{c}.nii.gz" for c in common])
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
     for case_id in common:
-        raters = [read_labels(d[case_id], case_id) for d in per_dir]
         with case_context(case_id):
+            raters = [read_labels(d[case_id]) for d in per_dir]
             if args.method == "vote":
                 fused = majority_vote(raters)
             elif args.method == "mean":
@@ -182,6 +194,7 @@ def _cmd_report(args) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    staple = StapleConfig()
     parser = _Parser(prog="gbmseg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
@@ -189,7 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("inputs", nargs="+", help="modality NIfTI volumes of one case")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--target", nargs=3, type=_positive(int), default=list(DEFAULT_TARGET_DIMS),
-                   metavar=("X", "Y", "Z"), help="target dims (default 192 224 160)")
+                   metavar=("X", "Y", "Z"),
+                   help=f"target dims (default {' '.join(map(str, DEFAULT_TARGET_DIMS))})")
     p.add_argument("--no-normalize", action="store_true", help="skip z-score normalization")
     p.set_defaults(func=_cmd_preprocess)
 
@@ -206,10 +220,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("methods", nargs="+", help="one directory of predictions per method")
     p.add_argument("--method", choices=("mean", "vote", "staple"), default="staple")
     p.add_argument("--out", required=True, help="output directory for fused volumes")
-    p.add_argument("--et-threshold", type=_positive(int, zero_ok=True), default=200,
+    p.add_argument("--et-threshold", type=_positive(int, zero_ok=True),
+                   default=DEFAULT_ET_THRESHOLD,
                    help="relabel ET as necrotic below this voxel count (0 disables)")
-    p.add_argument("--staple-max-iter", type=_positive(int), default=50)
-    p.add_argument("--staple-tol", type=_positive(float), default=1e-6)
+    p.add_argument("--staple-max-iter", type=_positive(int), default=staple.max_iter)
+    p.add_argument("--staple-tol", type=_positive(float), default=staple.tol)
     p.set_defaults(func=_cmd_fuse)
 
     p = sub.add_parser("evaluate", help="score predictions against ground truth")

@@ -87,7 +87,7 @@ class DegenerateInput(GbmsegError):
 
 
 class TooManyRaters(GbmsegError):
-    """STAPLE packs one decision bit per rater into a 64-bit pattern code."""
+    """STAPLE packs one decision bit per rater into a 16-bit pattern code."""
 
 
 # --- Dataset harness ---------------------------------------------------

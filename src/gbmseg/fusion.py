@@ -8,10 +8,10 @@ each rater's sensitivity/specificity.  Multi-label fusion runs the mean or
 STAPLE independently per evaluated region and recombines the consensus
 masks through the deterministic label priority.
 
-STAPLE's E-step takes the logistic of one log-odds value per rater
-decision pattern, at most min(2^R, N) of them, one at a time with the C
-library's ``exp``, bit for bit as ``scipy.special.expit`` computes it but
-without loading SciPy.  Its result keeps one weight per pattern.
+STAPLE counts the raters' decision patterns in a table indexed by code.
+Its E-step takes the logistic of one log-odds value per pattern, one at
+a time with the C library's ``exp``, bit for bit as ``scipy.special.expit``
+does but without loading SciPy.  Its result keeps one weight per pattern.
 
 Voting, the mean and STAPLE work only inside the union box: the tightest
 box holding every voxel that some input marks nonzero.  Outside it every
@@ -48,7 +48,7 @@ from .volume import (
     union_box,
 )
 
-MAX_STAPLE_RATERS = 64
+MAX_STAPLE_RATERS = 16
 # STAPLE keeps each rater's sensitivity and specificity inside
 # [STAPLE_CLAMP, 1 - STAPLE_CLAMP], so the E-step never takes log(0) and
 # unanimity cannot freeze the iteration.
@@ -99,10 +99,10 @@ class StapleResult:
     """EM output: one foreground weight per decision pattern present,
     per-rater performance, and the log-likelihood trace (non-decreasing,
     one entry per iteration).  Bit j of a pattern code is set when rater j
-    marks the voxel; ``patterns`` ascends, and a voxel of code c weighs
-    ``weights[searchsorted(patterns, c)]``.  ``final_delta`` is the mean
-    absolute weight change of the last iteration; ``converged`` is whether
-    it fell below ``tol`` (False means EM stopped at ``max_iter``)."""
+    marks the voxel; ``patterns`` ascends in the code dtype, and a voxel of
+    code c weighs ``weights[searchsorted(patterns, c)]``.  ``final_delta``
+    is the mean absolute weight change of the last iteration; ``converged``
+    is whether it fell below ``tol`` (False means EM stopped at ``max_iter``)."""
 
     patterns: np.ndarray
     weights: np.ndarray
@@ -225,17 +225,16 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
 
     Pattern form: under every prior mode a voxel's weight depends only on
     its R-bit decision pattern (see :class:`StapleResult`), so EM runs over
-    the P present patterns, every sum weighted by the pattern's voxel
-    count: O(R·P) work and memory per iteration, P <= min(2^R, N).  Codes
-    are packed only inside the raters' union box; every voxel outside it
-    has pattern 0, so it joins pattern 0's count (inserted when the box
-    holds none) and takes pattern 0's decision.  N stays the whole grid,
-    and EM sees the same (pattern, count) multiset as over every voxel, so
-    each result is bit-identical.  Only the boolean consensus has the
-    grid's size.  A grid with no voxels raises :class:`EmptyInput`.  Codes
-    are at most 64 bits wide, so R > 64 raises :class:`TooManyRaters`.  An
-    E-step that weighs every voxel exactly 1 (or 0) leaves the M-step
-    nothing to divide by and raises :class:`DegenerateInput`.
+    the P present patterns, every sum weighted by its voxel count: O(R·P)
+    work and memory per iteration, P <= min(2^R, N).  Codes are packed only
+    inside the raters' union box and counted in a table indexed by code;
+    voxels outside the box have pattern 0, so they add to entry 0 and take
+    its decision.  N stays the whole grid, and EM sees the same (pattern,
+    count) multiset as over every voxel: results are bit-identical.  Only
+    the boolean consensus has the grid's size.  A grid with no voxels raises
+    :class:`EmptyInput`.  Codes are at most 16 bits wide, so R > 16 raises
+    :class:`TooManyRaters`.  An E-step weighing every voxel exactly 1 (or 0)
+    leaves the M-step nothing to divide by: :class:`DegenerateInput`.
     """
     n_raters = len(raters)
     if n_raters < 2:
@@ -252,14 +251,13 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     code_type = np.min_scalar_type(all_marked)
     box = union_box([r.member for r in raters])
     inside = [r.member[box] for r in raters]
-    codes = np.zeros(inside[0].shape, dtype=code_type)  # C order: searchsorted copies any other
+    codes = np.zeros(inside[0].shape, dtype=code_type)  # C order: ravel copies any other
     for j, member in enumerate(inside):
         codes |= member.astype(code_type) << code_type.type(j)
-    patterns, counts = np.unique(codes, return_counts=True)
-    if codes.size < n_voxels:  # the voxels outside the box all have pattern 0
-        if not (patterns.size and patterns[0] == 0):
-            patterns, counts = np.insert(patterns, 0, 0), np.insert(counts, 0, 0)
-        counts[0] += n_voxels - codes.size
+    counts = np.bincount(codes.ravel(), minlength=all_marked + 1)
+    counts[0] += n_voxels - codes.size  # the voxels outside the box all have pattern 0
+    patterns = np.flatnonzero(counts).astype(code_type)
+    counts = counts[patterns]
     if len(patterns) == 1 and int(patterns[0]) in (0, all_marked):
         raise DegenerateInput("every rater marks every voxel identically")
     shifts = np.arange(n_raters, dtype=code_type)[:, None]
@@ -318,9 +316,11 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         )
 
     first = raters[0]
+    decision = np.zeros(all_marked + 1, dtype=bool)
+    decision[patterns] = weights >= 0.5
     # outside the box is pattern 0, whose weight can be >= 0.5 (say, under a high prior)
-    member = np.full(first.dims, weights[0] >= 0.5)
-    member[box] = (weights >= 0.5)[np.searchsorted(patterns, codes)]
+    member = np.full(first.dims, decision[0])
+    member[box] = decision[codes]
     return StapleResult(
         patterns=patterns,
         weights=weights,

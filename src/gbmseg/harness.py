@@ -190,13 +190,13 @@ def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     return sorted(pairs)
 
 
-def read_labels(path, case_id: str) -> LabelVolume:
-    """Read one case's label volume; any failure names the case and file."""
+def read_labels(path) -> LabelVolume:
+    """Read one label volume; any failure is an UnreadableVolume naming the file."""
     try:
         _, grid = read_volume(path)
         return LabelVolume.from_grid(grid)
     except (GbmsegError, OSError) as err:
-        raise UnreadableVolume(f"case {case_id}: {path}: {err}") from err
+        raise UnreadableVolume(f"{path}: {err}") from err
 
 
 @contextmanager
@@ -215,9 +215,8 @@ def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
         raise NoMatchedCases(f"no case pairs between {pred_dir} and {gt_dir}")
     results = []
     for case_id, pred_path, gt_path in pairs:
-        pred = read_labels(pred_path, case_id)
-        gt = read_labels(gt_path, case_id)
         with case_context(case_id):
+            pred, gt = read_labels(pred_path), read_labels(gt_path)
             results.append(evaluate_case(pred, gt, case_id=case_id))
     return results
 

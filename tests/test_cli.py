@@ -10,9 +10,12 @@ import numpy as np
 import pytest
 
 import gbmseg
-from gbmseg.cli import main
+from gbmseg.cli import build_parser, main
+from gbmseg.fusion import StapleConfig
 from gbmseg.harness import read_metrics_csv
 from gbmseg.nifti_io import DT_FLOAT32, DT_INT16, DT_UINT8, NiftiHeader, read_volume, write_volume
+from gbmseg.postprocess import DEFAULT_ET_THRESHOLD
+from gbmseg.preprocess import DEFAULT_TARGET_DIMS
 from gbmseg.volume import LabelVolume, VoxelGrid
 
 from phantoms import ball, mask_dice, nested_label_phantom, noisy_rater_labels
@@ -82,6 +85,17 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+
+class TestDefaults:
+    def test_parser_defaults_are_the_library_defaults(self):
+        parser = build_parser()
+        fuse = parser.parse_args(["fuse", "m0", "--out", "o"])
+        staple = StapleConfig()
+        assert fuse.et_threshold == DEFAULT_ET_THRESHOLD
+        assert (fuse.staple_max_iter, fuse.staple_tol) == (staple.max_iter, staple.tol)
+        preprocess = parser.parse_args(["preprocess", "t1.nii", "--out", "o"])
+        assert tuple(preprocess.target) == DEFAULT_TARGET_DIMS
 
 
 class TestNumericFlags:
@@ -193,6 +207,18 @@ class TestPreprocess:
         captured = capsys.readouterr()
         assert str(srcs[0]) in captured.err and str(srcs[1]) in captured.err
         assert captured.out == "" and not list(out.glob("*"))
+
+    @pytest.mark.parametrize("out", ["d", "./d/"])
+    def test_output_over_an_input_is_data_error(self, tmp_path, capsys, monkeypatch, out):
+        # preprocess d/t1.nii --out d once wrote the fitted volume over d/t1.nii
+        (tmp_path / "d").mkdir()
+        src = write_brain_with(tmp_path / "d", 1.0)
+        before = src.read_bytes()
+        monkeypatch.chdir(tmp_path)
+        assert main(["preprocess", "d/t1.nii", "--out", out, "--target", "6", "6", "6"]) == 2
+        captured = capsys.readouterr()
+        assert "d/t1.nii" in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and src.read_bytes() == before
 
 
 class TestAugment:
@@ -366,6 +392,21 @@ class TestFuse:
         err = capsys.readouterr().err
         assert "case c3: " in err
         assert "spacing (1.0, 1.0, 1.0) vs (1.0, 1.0, 2.0)" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("spelling", ["same", "dotdot"])
+    def test_output_over_an_input_is_data_error(self, phantom_dirs, capsys, spelling):
+        # fuse m0 m1 m2 --out m0 once replaced m0's case files with the fused volumes
+        method_dirs, _ = phantom_dirs
+        out = method_dirs[0]
+        if spelling == "dotdot":
+            out = out / ".." / out.name
+        before = {p: p.read_bytes() for d in method_dirs for p in d.iterdir()}
+        code = main(["fuse", *map(str, method_dirs), "--method", "vote", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(out / "case_000.nii.gz") in captured.err
+        assert str(method_dirs[0] / "case_000.nii.gz") in captured.err
+        assert {p: p.read_bytes() for d in method_dirs for p in d.iterdir()} == before
 
     def test_deterministic_outputs(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs

@@ -278,14 +278,15 @@ class TestStapleBinary:
 
     def test_too_many_raters(self):
         m = ball((4, 4, 4), 1.5)
-        with pytest.raises(TooManyRaters):
-            staple_binary([mask(m)] * 64 + [mask(~m)])
+        for n_raters in (17, 65):  # 17 raters would need a 17-bit code
+            with pytest.raises(TooManyRaters):
+                staple_binary([mask(m)] * (n_raters - 1) + [mask(~m)])
 
-    def test_sixty_four_raters_use_the_top_code_bit(self):
+    def test_sixteen_raters_use_the_top_code_bit(self):
         rng = np.random.default_rng(14)
         truth = ball((8, 8, 8), 3.0)
-        raters = [mask(noisy_mask(truth, rng, 0.1, 0.05)) for _ in range(63)]
-        raters.append(mask(np.zeros_like(truth)))  # rater 63: bit 63 never set
+        raters = [mask(noisy_mask(truth, rng, 0.1, 0.05)) for _ in range(15)]
+        raters.append(mask(np.zeros_like(truth)))  # rater 15: bit 15 never set
         result = staple_binary(raters)
         assert np.array_equal(result.consensus.member, truth)
         assert result.performances[-1].sensitivity == pytest.approx(STAPLE_CLAMP)
