@@ -106,6 +106,7 @@ def _cmd_preprocess(args) -> None:
 
 
 def _cmd_augment(args) -> None:
+    _refuse_overwrite([Path(args.input)], [Path(args.out)])
     spec = sample_augmentation(args.seed)
     _, grid = read_volume(args.input)
     if args.labels:  # a foreign label raises BadLabel rather than wrapping in the uint8 write
@@ -148,8 +149,10 @@ def _cmd_fuse(args) -> None:
 
 def _cmd_evaluate(args) -> None:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    if args.manifest is not None:
+        _refuse_overwrite([Path(args.manifest)], [out_dir / "metrics.csv", out_dir / "report.json"])
     cases = evaluate_dataset(args.pred, args.gt, manifest=args.manifest)
+    out_dir.mkdir(parents=True, exist_ok=True)
     report = aggregate(cases)
     write_metrics_csv(cases, out_dir / "metrics.csv")
     write_json(build_report(cases, report), out_dir / "report.json")
@@ -169,12 +172,13 @@ def _default_names(csvs: list[str]) -> list[str]:
 
 def _cmd_report(args) -> None:
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = args.names or _default_names(args.csvs)
     if len(names) != len(args.csvs):
         raise GbmsegError(
             f"{len(args.csvs)} CSV inputs but {len(names)} names"
         )
+    _refuse_overwrite([Path(p) for p in args.csvs],
+                      [out_dir / "ranking.json", out_dir / "aggregates.txt"])
     summaries = []
     tables = []
     for name, path in zip(names, args.csvs):
@@ -183,6 +187,7 @@ def _cmd_report(args) -> None:
         summaries.append(summarize_method(name, report))
         tables.append(f"== {name} ==\n{render_aggregate_table(report)}")
     orders = rank_all(summaries)
+    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"methods": [asdict(s) for s in summaries], "order": orders}
     write_json(payload, out_dir / "ranking.json")
     (out_dir / "aggregates.txt").write_bytes("\n".join(tables).encode("utf-8"))

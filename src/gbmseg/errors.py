@@ -98,4 +98,5 @@ class NoMatchedCases(GbmsegError):
 
 
 class UnreadableVolume(GbmsegError):
-    """A case volume could not be read; message carries the case context."""
+    """A label volume could not be read; the message names the file, and
+    ``harness.case_context`` prefixes the case."""

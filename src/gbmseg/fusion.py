@@ -67,31 +67,16 @@ class RaterPerformance:
 
 @dataclass(frozen=True)
 class StapleConfig:
-    """Convergence and conditioning controls for the EM fusion.
-
-    ``prior`` selects the stationary foreground prior of the E-step:
-    ``"prevalence"`` (default) is the scalar mean fraction of positive
-    rater decisions; ``"voxelwise"`` is the per-voxel mean of the rater
-    decisions; a float in (0, 1) fixes an explicit scalar.  The scalar
-    prevalence is the default because a persistent per-voxel prior lets
-    isolated votes on rare structures reinforce themselves until the
-    consensus collapses to the union of all raters.
-    """
+    """Convergence controls for the EM fusion."""
 
     max_iter: int = 50
     tol: float = 1e-6
-    prior: float | str = "prevalence"
 
     def __post_init__(self):
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not self.tol > 0:  # NaN too: no weight change falls below it
             raise ValueError("tol must be positive")
-        if isinstance(self.prior, str):
-            if self.prior not in ("prevalence", "voxelwise"):
-                raise ValueError(f"unknown prior mode {self.prior!r}")
-        elif not 0 < self.prior < 1:
-            raise ValueError("scalar prior must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -216,18 +201,22 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     """Binary STAPLE: EM over the raters' hard decisions.
 
     E-step: posterior weight of each voxel being foreground, from the
-    prior and the current per-rater (sensitivity, specificity).
+    prior and the current per-rater (sensitivity, specificity).  The prior
+    is the prevalence, the mean fraction of positive rater decisions, the
+    same for every voxel: a per-voxel prior would let isolated votes on
+    rare structures reinforce themselves until the consensus collapses to
+    the union of all raters.
     M-step: each rater's sensitivity becomes the weight mass it marked
     positive over the total weight mass; specificity analogously on the
     complement.  Iteration stops when the mean absolute weight change
     drops below ``cfg.tol`` or after ``cfg.max_iter`` rounds; stopping at
     ``max_iter`` without converging is logged as a warning.
 
-    Pattern form: under every prior mode a voxel's weight depends only on
-    its R-bit decision pattern (see :class:`StapleResult`), so EM runs over
-    the P present patterns, every sum weighted by its voxel count: O(R·P)
-    work and memory per iteration, P <= min(2^R, N).  Codes are packed only
-    inside the raters' union box and counted in a table indexed by code;
+    Pattern form: a voxel's weight depends only on its R-bit decision
+    pattern (see :class:`StapleResult`), so EM runs over the P present
+    patterns, every sum weighted by its voxel count: O(R·P) work and memory
+    per iteration, P <= min(2^R, N).  Codes are packed only inside the
+    raters' union box and counted in a table indexed by code;
     voxels outside the box have pattern 0, so they add to entry 0 and take
     its decision.  N stays the whole grid, and EM sees the same (pattern,
     count) multiset as over every voxel: results are bit-identical.  Only
@@ -264,15 +253,10 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     marks = (patterns[None, :] >> shifts) & 1 == 1  # (R, P)
 
     positives = marks.sum(axis=0)
-    if cfg.prior == "prevalence":
-        prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
-    elif cfg.prior == "voxelwise":
-        prior = positives / n_raters
-    else:
-        prior = np.full(len(patterns), float(cfg.prior))
-    with np.errstate(divide="ignore"):  # prior of exactly 0/1 is meaningful
-        log_prior = np.log(prior)
-        log_not_prior = np.log1p(-prior)
+    # in (0, 1): past the check above, some code is nonzero and some is not all-marked
+    prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
+    log_prior = np.log(prior)
+    log_not_prior = np.log1p(-prior)
 
     lo, hi = STAPLE_CLAMP, 1.0 - STAPLE_CLAMP
     sens = np.full(n_raters, hi)
@@ -318,7 +302,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     first = raters[0]
     decision = np.zeros(all_marked + 1, dtype=bool)
     decision[patterns] = weights >= 0.5
-    # outside the box is pattern 0, whose weight can be >= 0.5 (say, under a high prior)
+    # outside the box is pattern 0, whose weight can be >= 0.5 too
     member = np.full(first.dims, decision[0])
     member[box] = decision[codes]
     return StapleResult(

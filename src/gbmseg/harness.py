@@ -11,9 +11,10 @@ entirely.
 
 Report shapes: the per-case CSV has the fixed column set
 ``case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt`` (UTF-8, header
-row, LF endings; DSC with two decimals, HD95 with four); the aggregate
-table lays out the five statistics rows by the three region columns per
-metric.  All outputs are deterministic functions of their inputs.
+row, one row per case_id, LF endings; DSC with two decimals, HD95 with
+four); the aggregate table lays out the five statistics rows by the three
+region columns per metric.  All outputs are deterministic functions of
+their inputs.
 """
 
 from __future__ import annotations
@@ -157,33 +158,34 @@ def pair_cases(
 
 def _csv_rows(reader: csv.DictReader, path):
     """Yield the rows of ``reader``; a row whose field count differs from
-    the header's raises IoFailure naming the file and line."""
+    the header's, or that repeats a ``case_id``, raises IoFailure naming
+    the file and line."""
+    first_line: dict[str, int] = {}
     for row in reader:
         if None in row or None in row.values():
             raise IoFailure(
                 f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields")
+        case_id = row["case_id"]
+        if case_id in first_line:
+            raise IoFailure(f"{path}: line {reader.line_num}: case_id {case_id!r} "
+                            f"already given on line {first_line[case_id]}")
+        first_line[case_id] = reader.line_num
         yield row
 
 
 def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     base = manifest.parent
     pairs = []
-    first_line: dict[str, int] = {}
     with open(manifest, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = sorted({"case_id", "pred", "gt"} - set(reader.fieldnames or ()))
         if missing:
             raise IoFailure(f"{manifest}: manifest has no column {', '.join(missing)}")
         for row in _csv_rows(reader, manifest):
-            case_id = row["case_id"]
-            if case_id in first_line:
-                raise IoFailure(f"{manifest}: line {reader.line_num}: case_id {case_id!r} "
-                                f"already given on line {first_line[case_id]}")
-            first_line[case_id] = reader.line_num
             pred = Path(row["pred"])
             gt = Path(row["gt"])
             pairs.append((
-                case_id,
+                row["case_id"],
                 pred if pred.is_absolute() else base / pred,
                 gt if gt.is_absolute() else base / gt,
             ))

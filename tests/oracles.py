@@ -167,12 +167,7 @@ def staple_binary_full_grid(raters, cfg):
     n_voxels = codes.size
 
     positives = marks.sum(axis=0)
-    if cfg.prior == "prevalence":
-        prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
-    elif cfg.prior == "voxelwise":
-        prior = positives / n_raters
-    else:
-        prior = np.full(len(patterns), float(cfg.prior))
+    prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
     with np.errstate(divide="ignore"):
         log_prior = np.log(prior)
         log_not_prior = np.log1p(-prior)

@@ -111,8 +111,7 @@ def test_c03_em_monotonicity():
         stacked = np.stack([r.member for r in raters])
         if stacked.all() or not stacked.any():
             continue
-        prior = ["prevalence", "voxelwise", float(rng.uniform(0.05, 0.95))][runs % 3]
-        result = staple_binary(raters, StapleConfig(prior=prior))
+        result = staple_binary(raters)
         diffs = np.diff(result.loglik_trace)
         assert (diffs >= -1e-9).all(), f"run {runs}: min step {diffs.min()}"
         runs += 1

@@ -263,6 +263,18 @@ class TestAugment:
         assert "1 non-finite" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_output_over_the_input_is_data_error(self, tmp_path, capsys):
+        # augment a.nii.gz --labels --out a.nii.gz once replaced the scan with its augmented copy
+        src = tmp_path / "a.nii.gz"
+        write_labels(src, nested_label_phantom(dims=(8, 8, 8), wt_radius=3, tc_radius=2,
+                                               et_radius=1))
+        before = src.read_bytes()
+        out = tmp_path / "." / "a.nii.gz"
+        assert main(["augment", str(src), "--seed", "1", "--labels", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert str(src) in captured.err and "Traceback" not in captured.err
+        assert captured.out == "" and src.read_bytes() == before
+
     def test_stdout_golden_bytes(self, tmp_path, capsys):
         src = tmp_path / "lab.nii"
         write_labels(src, nested_label_phantom(dims=(12, 12, 12), wt_radius=4,
@@ -458,6 +470,31 @@ class TestEvaluateAndReport:
         assert "case c2: " in err and "dims (6, 6, 6) vs (6, 6, 7)" in err
         assert not (out / "metrics.csv").exists()
 
+    def test_output_over_the_manifest_is_data_error(self, phantom_dirs, tmp_path, capsys):
+        # evaluate --manifest out/metrics.csv --out out once replaced the manifest
+        method_dirs, gt_dir = phantom_dirs
+        out = tmp_path / "eval"
+        out.mkdir()
+        manifest = out / "metrics.csv"
+        manifest.write_text(f"case_id,pred,gt\nx,{method_dirs[0] / 'case_000.nii.gz'},"
+                            f"{gt_dir / 'case_000.nii.gz'}\n")
+        before = manifest.read_bytes()
+        code = main(["evaluate", "--pred", str(method_dirs[0]), "--gt", str(gt_dir),
+                     "--manifest", str(manifest), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(manifest) in captured.err and "Traceback" not in captured.err
+        assert manifest.read_bytes() == before and not (out / "report.json").exists()
+
+    def test_no_matched_case_leaves_no_output_directory(self, tmp_path, capsys):
+        (tmp_path / "pred").mkdir()
+        (tmp_path / "gt").mkdir()
+        out = tmp_path / "eval"
+        code = main(["evaluate", "--pred", str(tmp_path / "pred"), "--gt", str(tmp_path / "gt"),
+                     "--out", str(out)])
+        assert code == 2 and "no case pairs" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("side", ["pred", "gt"])
     def test_two_files_for_one_case_is_data_error(self, phantom_dirs, tmp_path, capsys, side):
         method_dirs, gt_dir = phantom_dirs
@@ -541,6 +578,33 @@ class TestEvaluateAndReport:
         assert code == 2
         assert "'metrics'" in capsys.readouterr().err
 
+    def test_report_output_over_an_input_is_data_error(self, tmp_path, capsys):
+        # report out/ranking.json --out out once overwrote the CSV it had read
+        out = tmp_path / "out"
+        out.mkdir()
+        csv = out / "ranking.json"
+        csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+                       "a,90.00,90.00,90.00,1.0000,1.0000,1.0000\n")
+        before = csv.read_bytes()
+        code = main(["report", str(csv), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(csv) in captured.err and "Traceback" not in captured.err
+        assert csv.read_bytes() == before and not (out / "aggregates.txt").exists()
+
+    def test_report_repeated_case_id_is_data_error(self, tmp_path, capsys):
+        # a repeated row was once counted twice in every mean, and so in every rank
+        csv = tmp_path / "m.csv"
+        csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+                       "a,90.00,90.00,90.00,1.0000,1.0000,1.0000\n"
+                       "b,10.00,10.00,10.00,9.0000,9.0000,9.0000\n"
+                       "a,90.00,90.00,90.00,1.0000,1.0000,1.0000\n")
+        out = tmp_path / "r"
+        assert main(["report", str(csv), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(csv) in err and "line 4" in err and "line 2" in err and "'a'" in err
+        assert not out.exists()
+
     def test_report_name_count_mismatch_is_data_error(self, tmp_path):
         csv = tmp_path / "m.csv"
         csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
@@ -566,6 +630,7 @@ class TestEvaluateAndReport:
         assert main(["report", str(csv), "--out", str(tmp_path / "r")]) == 2
         err = capsys.readouterr().err
         assert str(csv) in err and "line 3" in err
+        assert not (tmp_path / "r").exists()
 
     @pytest.mark.parametrize("text,named", [
         ("pred,gt\nmethod0/case_000.nii.gz,gt/case_000.nii.gz\n", "case_id"),

@@ -137,22 +137,16 @@ class TestStapleBinary:
             assert perf.sensitivity == pytest.approx(1.0 - STAPLE_CLAMP)
             assert perf.specificity == pytest.approx(1.0 - STAPLE_CLAMP)
 
-    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
-    def test_matches_linear_space_reference_equations(self, prior_mode):
+    def test_matches_linear_space_reference_equations(self):
         rng = np.random.default_rng(3)
         truth = ball((6, 6, 6), 2.0)
         raters = [mask(noisy_mask(truth, rng, 0.2, 0.1)) for _ in range(3)]
         decisions = np.stack([r.member.ravel(order="F") for r in raters])
-        if prior_mode == "prevalence":
-            prior = np.full(decisions.shape[1], decisions.mean())
-        elif prior_mode == "voxelwise":
-            prior = decisions.mean(axis=0)
-        else:
-            prior = np.full(decisions.shape[1], prior_mode)
         # pin the iteration count so both implementations do the same work
-        cfg = StapleConfig(max_iter=7, tol=1e-15, prior=prior_mode)
+        cfg = StapleConfig(max_iter=7, tol=1e-15)
         result = staple_binary(raters, cfg)
-        ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=7, prior=prior)
+        ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=7,
+                                                     prior=_prevalence(decisions))
         assert result.iterations == 7
         assert np.allclose(voxel_weights(raters, result).ravel(order="F"), ref_w, atol=1e-9)
         assert np.allclose([p.sensitivity for p in result.performances], ref_sens, atol=1e-9)
@@ -223,17 +217,9 @@ class TestStapleBinary:
         with pytest.raises(DegenerateInput, match="exactly 1"):
             staple_binary([mask(m) for m in members])
 
-    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
-    def test_zero_voxel_grid_is_empty_input(self, prior_mode):
+    def test_zero_voxel_grid_is_empty_input(self):
         with pytest.raises(EmptyInput):
-            staple_binary([mask(np.zeros((0, 3, 3), bool))] * 3, StapleConfig(prior=prior_mode))
-
-    def test_scalar_prior_supported(self):
-        rng = np.random.default_rng(7)
-        truth = ball((10, 10, 10), 3.5)
-        raters = [mask(noisy_mask(truth, rng, 0.1, 0.05)) for _ in range(3)]
-        result = staple_binary(raters, StapleConfig(prior=0.2))
-        assert mask_dice(result.consensus.member, truth) >= 90.0
+            staple_binary([mask(np.zeros((0, 3, 3), bool))] * 3)
 
     def test_consensus_is_the_half_threshold_of_weights(self):
         rng = np.random.default_rng(8)
@@ -270,8 +256,7 @@ class TestStapleBinary:
 
     @pytest.mark.parametrize("kwargs", [
         {"max_iter": 0}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
-        {"prior": "uniform"}, {"prior": 0.0}, {"prior": 1.0},
-    ], ids=["max_iter_0", "tol_0", "tol_negative", "tol_nan", "prior_mode", "prior_0", "prior_1"])
+    ], ids=["max_iter_0", "tol_0", "tol_negative", "tol_nan"])
     def test_config_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
             StapleConfig(**kwargs)
@@ -293,39 +278,35 @@ class TestStapleBinary:
         assert result.performances[-1].specificity == pytest.approx(1.0 - STAPLE_CLAMP)
 
 
-def _prior_for(decisions: np.ndarray, prior_mode) -> np.ndarray:
-    """The per-voxel prior each StapleConfig.prior mode defines, for reference_staple."""
-    if prior_mode == "prevalence":
-        return np.full(decisions.shape[1], decisions.mean())
-    if prior_mode == "voxelwise":
-        return decisions.mean(axis=0)
-    return np.full(decisions.shape[1], prior_mode)
+def _prevalence(decisions: np.ndarray) -> np.ndarray:
+    """STAPLE's prior, the mean fraction of positive decisions, per voxel for reference_staple."""
+    return np.full(decisions.shape[1], decisions.mean())
 
 
 def _decisions(members: np.ndarray) -> np.ndarray:
     return np.stack([m.ravel(order="F") for m in members])
 
 
-def _reference_is_defined(members: np.ndarray, prior_mode, max_iter: int) -> bool:
+def _reference_is_defined(members: np.ndarray, max_iter: int) -> bool:
     """False where reference_staple's M-step divides 0 by 0 (every voxel's
     weight rounds to exactly 1, or exactly 0), so there is nothing to compare."""
     decisions = _decisions(members)
     with np.errstate(invalid="ignore"):
-        ref = reference_staple(decisions, max_iter, _prior_for(decisions, prior_mode))
+        ref = reference_staple(decisions, max_iter, _prevalence(decisions))
     return all(np.isfinite(v).all() for v in ref)
 
 
-def _assert_matches_reference(members: np.ndarray, prior_mode, max_iter: int) -> None:
+def _assert_matches_reference(members: np.ndarray, max_iter: int) -> None:
     """Run staple_binary on (R, x, y, z) masks and compare with reference_staple.
 
     tol=1e-15 pins the iteration count in practice; the reference runs
     exactly as many iterations as staple_binary reports.
     """
     decisions = _decisions(members)
-    prior = _prior_for(decisions, prior_mode)
     raters = [mask(m) for m in members]
-    result = staple_binary(raters, StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
-    ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=result.iterations, prior=prior)
+    result = staple_binary(raters, StapleConfig(max_iter=max_iter, tol=1e-15))
+    ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=result.iterations,
+                                                 prior=_prevalence(decisions))
     assert np.allclose(voxel_weights(raters, result).ravel(order="F"), ref_w, rtol=0.0, atol=1e-9)
     assert np.allclose([p.sensitivity for p in result.performances], ref_sens, rtol=0.0, atol=1e-9)
     assert np.allclose([p.specificity for p in result.performances], ref_spec, rtol=0.0, atol=1e-9)
@@ -336,32 +317,27 @@ class TestStaplePatternsMatchReference:
         data=st.data(),
         n_raters=st.integers(min_value=2, max_value=6),
         dims=st.tuples(*[st.integers(min_value=1, max_value=5)] * 3),
-        prior_mode=st.one_of(
-            st.sampled_from(["prevalence", "voxelwise"]),
-            st.floats(min_value=0.05, max_value=0.95),
-        ),
         max_iter=st.integers(min_value=1, max_value=10),
     )
     @settings(max_examples=150, deadline=None)
-    def test_random_small_masks(self, data, n_raters, dims, prior_mode, max_iter):
+    def test_random_small_masks(self, data, n_raters, dims, max_iter):
         members = data.draw(arrays(np.bool_, (n_raters,) + dims))
         assume(members.any() and not members.all())
-        if _reference_is_defined(members, prior_mode, max_iter):
-            _assert_matches_reference(members, prior_mode, max_iter)
+        if _reference_is_defined(members, max_iter):
+            _assert_matches_reference(members, max_iter)
         else:
             with pytest.raises(DegenerateInput):
                 staple_binary([mask(m) for m in members],
-                              StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
+                              StapleConfig(max_iter=max_iter, tol=1e-15))
 
-    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
-    def test_every_pattern_of_sixteen_raters(self, prior_mode):
-        _assert_matches_reference(_every_pattern_of_sixteen_raters(), prior_mode, max_iter=6)
+    def test_every_pattern_of_sixteen_raters(self):
+        _assert_matches_reference(_every_pattern_of_sixteen_raters(), max_iter=6)
 
     def test_libm_logistic_leaves_every_pattern_run_unchanged(self, monkeypatch):
         from scipy.special import expit
 
         raters = [mask(m) for m in _every_pattern_of_sixteen_raters()]
-        cfg = StapleConfig(prior=0.3)  # converges, in 23 iterations
+        cfg = StapleConfig(max_iter=100)  # converges, in 62 iterations
         ours = staple_binary(raters, cfg)
         monkeypatch.setattr(fusion, "_expit", expit)
         theirs = staple_binary(raters, cfg)
@@ -494,10 +470,6 @@ class TestMeanRegions:
                           LabelVolume(np.zeros((3, 2, 2), np.uint8))])
 
 
-PRIOR_MODES = st.one_of(st.sampled_from(["prevalence", "voxelwise"]),
-                        st.floats(min_value=0.05, max_value=0.95))
-
-
 @st.composite
 def boxed_stacks(draw, n_raters, dtype, elements):
     """R arrays that are 0 outside one random box of a grid of up to 6^3
@@ -594,21 +566,20 @@ class TestUnionBoxIsExact:
     over every voxel, bit for bit."""
 
     @given(data=st.data(), n_raters=st.integers(min_value=2, max_value=6),
-           prior_mode=PRIOR_MODES, max_iter=st.integers(min_value=1, max_value=10))
+           max_iter=st.integers(min_value=1, max_value=10))
     @settings(max_examples=200, deadline=None)
-    def test_staple_binary(self, data, n_raters, prior_mode, max_iter):
+    def test_staple_binary(self, data, n_raters, max_iter):
         members = data.draw(boxed_stacks(n_raters, np.bool_, st.booleans()))
         _assert_staple_matches_full_grid(
-            [mask(m) for m in members], StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
+            [mask(m) for m in members], StapleConfig(max_iter=max_iter, tol=1e-15))
 
     @given(data=st.data(), n_raters=st.integers(min_value=2, max_value=6),
-           prior_mode=PRIOR_MODES, max_iter=st.integers(min_value=1, max_value=10))
+           max_iter=st.integers(min_value=1, max_value=10))
     @settings(max_examples=200, deadline=None)
-    def test_staple_regions(self, data, n_raters, prior_mode, max_iter):
+    def test_staple_regions(self, data, n_raters, max_iter):
         raters = [LabelVolume(a) for a in data.draw(
             boxed_stacks(n_raters, np.uint8, st.sampled_from(BRATS_LABELS)))]
-        _assert_staple_regions_matches_full_grid(
-            raters, StapleConfig(max_iter=max_iter, tol=1e-15, prior=prior_mode))
+        _assert_staple_regions_matches_full_grid(raters, StapleConfig(max_iter=max_iter, tol=1e-15))
 
     @given(data=st.data(), n_raters=st.integers(min_value=1, max_value=6))
     @settings(max_examples=200, deadline=None)
@@ -619,43 +590,48 @@ class TestUnionBoxIsExact:
         assert np.array_equal(mean_regions(raters).labels, float_mean_fuse(raters).labels)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("prior_mode", ["prevalence", "voxelwise", 0.3])
     @pytest.mark.parametrize("case", sorted(EDGE_STACKS))
-    def test_edge_cases(self, case, prior_mode, order):
+    def test_edge_cases(self, case, order):
         stack = EDGE_STACKS[case]
         for n_raters in range(2, len(stack) + 1):
             members = [np.asarray(m, order=order) for m in stack[:n_raters]]
             _assert_staple_matches_full_grid(
-                [mask(m) for m in members], StapleConfig(max_iter=20, tol=1e-15, prior=prior_mode))
+                [mask(m) for m in members], StapleConfig(max_iter=20, tol=1e-15))
             raters = _labels_from(np.stack(members), np.random.default_rng(n_raters))
             raters = [LabelVolume(np.asarray(r.labels, order=order)) for r in raters]
             assert np.array_equal(majority_vote(raters).labels, majority_vote_full_grid(raters))
             assert np.array_equal(mean_regions(raters).labels, float_mean_fuse(raters).labels)
 
+    @staticmethod
+    def _unmarked_slab() -> np.ndarray:
+        """(2, 9, 3, 2) masks: no rater marks the slab x = 0, and the two
+        mark the rest with densities 0.69 and 0.46.  EM under the prevalence
+        prior converges in 55 iterations and weighs pattern 0 at about 0.70."""
+        members = np.zeros((2, 9, 3, 2), bool)
+        density = np.array([0.69, 0.46])[:, None, None, None]
+        members[:, 1:] = np.random.default_rng(160).random((2, 8, 3, 2)) < density
+        return members
+
     def test_outside_the_box_can_be_foreground(self):
-        # Two raters each mark a random half of a box, under a prior of 0.9:
         # EM weighs pattern 0 above 0.5, so the voxels outside the box, which
         # no rater marks, join the consensus.
-        members = np.zeros((2, 4, 4, 4), bool)
-        members[:, 1:, 1:, 1:] = np.random.default_rng(3).random((2, 3, 3, 3)) < 0.5
+        members = self._unmarked_slab()
         raters = [mask(m) for m in members]
-        cfg = StapleConfig(max_iter=9, prior=0.9)
+        cfg = StapleConfig(max_iter=200)
         result = staple_binary(raters, cfg)
-        assert voxel_weights(raters, result)[0, 0, 0] > 0.5 and result.consensus.member.all()
+        assert result.converged
+        assert voxel_weights(raters, result)[0, 0, 0] > 0.5 and result.consensus.member[0].all()
         _assert_staple_matches_full_grid(raters, cfg)
 
     def test_outside_the_box_can_be_labelled(self):
         # The same case as label volumes: label 2 where the masks are set.
         # ET and TC are empty everywhere and pass through; STAPLE's WT takes
-        # in every voxel outside the box, which so comes out as label 2.
-        members = np.zeros((2, 4, 4, 4), bool)
-        members[:, 1:, 1:, 1:] = np.random.default_rng(3).random((2, 3, 3, 3)) < 0.5
+        # in the slab outside the box, which so comes out as label 2.
+        members = self._unmarked_slab()
         raters = [LabelVolume(np.where(m, 2, 0).astype(np.uint8)) for m in members]
-        cfg = StapleConfig(max_iter=9, prior=0.9)
+        cfg = StapleConfig(max_iter=200)
         fused = staple_regions(raters, cfg).labels
-        outside = np.ones(fused.shape, bool)
-        outside[1:, 1:, 1:] = False
-        assert (fused[outside] == 2).all()
+        assert (fused[0] == 2).all()
         _assert_staple_regions_matches_full_grid(raters, cfg)
 
 
