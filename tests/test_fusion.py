@@ -61,6 +61,17 @@ def voxel_weights(raters: list[RegionMask], result) -> np.ndarray:
     return result.weights[np.searchsorted(result.patterns, codes)]
 
 
+def _prevalence(decisions: np.ndarray) -> np.ndarray:
+    """STAPLE's prior, the mean fraction of positive decisions, per voxel for reference_staple."""
+    return np.full(decisions.shape[1], decisions.mean())
+
+
+# The prior reference_staple is given.  STAPLE's only prior is the
+# prevalence; the id keeps these tests' names from when they ran under
+# each of three prior modes.
+REFERENCE_PRIOR = pytest.mark.parametrize("prior", [_prevalence], ids=["prevalence"])
+
+
 class TestAverageProbabilities:
     def test_voxelwise_mean(self):
         inputs = [prob(np.full((2, 2, 2), v)) for v in (0.2, 0.4, 0.6)]
@@ -137,7 +148,8 @@ class TestStapleBinary:
             assert perf.sensitivity == pytest.approx(1.0 - STAPLE_CLAMP)
             assert perf.specificity == pytest.approx(1.0 - STAPLE_CLAMP)
 
-    def test_matches_linear_space_reference_equations(self):
+    @REFERENCE_PRIOR
+    def test_matches_linear_space_reference_equations(self, prior):
         rng = np.random.default_rng(3)
         truth = ball((6, 6, 6), 2.0)
         raters = [mask(noisy_mask(truth, rng, 0.2, 0.1)) for _ in range(3)]
@@ -145,8 +157,7 @@ class TestStapleBinary:
         # pin the iteration count so both implementations do the same work
         cfg = StapleConfig(max_iter=7, tol=1e-15)
         result = staple_binary(raters, cfg)
-        ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=7,
-                                                     prior=_prevalence(decisions))
+        ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=7, prior=prior(decisions))
         assert result.iterations == 7
         assert np.allclose(voxel_weights(raters, result).ravel(order="F"), ref_w, atol=1e-9)
         assert np.allclose([p.sensitivity for p in result.performances], ref_sens, atol=1e-9)
@@ -217,9 +228,10 @@ class TestStapleBinary:
         with pytest.raises(DegenerateInput, match="exactly 1"):
             staple_binary([mask(m) for m in members])
 
-    def test_zero_voxel_grid_is_empty_input(self):
+    @pytest.mark.parametrize("cfg", [StapleConfig()], ids=["prevalence"])
+    def test_zero_voxel_grid_is_empty_input(self, cfg):
         with pytest.raises(EmptyInput):
-            staple_binary([mask(np.zeros((0, 3, 3), bool))] * 3)
+            staple_binary([mask(np.zeros((0, 3, 3), bool))] * 3, cfg)
 
     def test_consensus_is_the_half_threshold_of_weights(self):
         rng = np.random.default_rng(8)
@@ -254,11 +266,14 @@ class TestStapleBinary:
         assert "TC" in caplog.records[0].getMessage()
         assert "max_iter=1" in caplog.records[0].getMessage()
 
-    @pytest.mark.parametrize("kwargs", [
-        {"max_iter": 0}, {"tol": 0.0}, {"tol": -1e-6}, {"tol": float("nan")},
-    ], ids=["max_iter_0", "tol_0", "tol_negative", "tol_nan"])
-    def test_config_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    @pytest.mark.parametrize("kwargs, error", [
+        ({"max_iter": 0}, ValueError), ({"tol": 0.0}, ValueError),
+        ({"tol": -1e-6}, ValueError), ({"tol": float("nan")}, ValueError),
+        # the prior is always the prevalence: no prior is accepted, not even a valid one
+        ({"prior": "uniform"}, TypeError), ({"prior": 0.0}, TypeError), ({"prior": 1.0}, TypeError),
+    ], ids=["max_iter_0", "tol_0", "tol_negative", "tol_nan", "prior_mode", "prior_0", "prior_1"])
+    def test_config_rejects_bad_values(self, kwargs, error):
+        with pytest.raises(error):
             StapleConfig(**kwargs)
 
     def test_too_many_raters(self):
@@ -278,11 +293,6 @@ class TestStapleBinary:
         assert result.performances[-1].specificity == pytest.approx(1.0 - STAPLE_CLAMP)
 
 
-def _prevalence(decisions: np.ndarray) -> np.ndarray:
-    """STAPLE's prior, the mean fraction of positive decisions, per voxel for reference_staple."""
-    return np.full(decisions.shape[1], decisions.mean())
-
-
 def _decisions(members: np.ndarray) -> np.ndarray:
     return np.stack([m.ravel(order="F") for m in members])
 
@@ -296,7 +306,7 @@ def _reference_is_defined(members: np.ndarray, max_iter: int) -> bool:
     return all(np.isfinite(v).all() for v in ref)
 
 
-def _assert_matches_reference(members: np.ndarray, max_iter: int) -> None:
+def _assert_matches_reference(members: np.ndarray, max_iter: int, prior) -> None:
     """Run staple_binary on (R, x, y, z) masks and compare with reference_staple.
 
     tol=1e-15 pins the iteration count in practice; the reference runs
@@ -306,7 +316,7 @@ def _assert_matches_reference(members: np.ndarray, max_iter: int) -> None:
     raters = [mask(m) for m in members]
     result = staple_binary(raters, StapleConfig(max_iter=max_iter, tol=1e-15))
     ref_w, ref_sens, ref_spec = reference_staple(decisions, n_iter=result.iterations,
-                                                 prior=_prevalence(decisions))
+                                                 prior=prior(decisions))
     assert np.allclose(voxel_weights(raters, result).ravel(order="F"), ref_w, rtol=0.0, atol=1e-9)
     assert np.allclose([p.sensitivity for p in result.performances], ref_sens, rtol=0.0, atol=1e-9)
     assert np.allclose([p.specificity for p in result.performances], ref_spec, rtol=0.0, atol=1e-9)
@@ -324,14 +334,15 @@ class TestStaplePatternsMatchReference:
         members = data.draw(arrays(np.bool_, (n_raters,) + dims))
         assume(members.any() and not members.all())
         if _reference_is_defined(members, max_iter):
-            _assert_matches_reference(members, max_iter)
+            _assert_matches_reference(members, max_iter, _prevalence)
         else:
             with pytest.raises(DegenerateInput):
                 staple_binary([mask(m) for m in members],
                               StapleConfig(max_iter=max_iter, tol=1e-15))
 
-    def test_every_pattern_of_sixteen_raters(self):
-        _assert_matches_reference(_every_pattern_of_sixteen_raters(), max_iter=6)
+    @REFERENCE_PRIOR
+    def test_every_pattern_of_sixteen_raters(self, prior):
+        _assert_matches_reference(_every_pattern_of_sixteen_raters(), max_iter=6, prior=prior)
 
     def test_libm_logistic_leaves_every_pattern_run_unchanged(self, monkeypatch):
         from scipy.special import expit
@@ -590,7 +601,10 @@ class TestUnionBoxIsExact:
         assert np.array_equal(mean_regions(raters).labels, float_mean_fuse(raters).labels)
 
     @pytest.mark.parametrize("order", ["C", "F"])
-    @pytest.mark.parametrize("case", sorted(EDGE_STACKS))
+    # "prevalence" in the ids names STAPLE's one prior, as when these cases
+    # also ran under two other prior modes
+    @pytest.mark.parametrize("case", sorted(EDGE_STACKS),
+                             ids=[f"{case}-prevalence" for case in sorted(EDGE_STACKS)])
     def test_edge_cases(self, case, order):
         stack = EDGE_STACKS[case]
         for n_raters in range(2, len(stack) + 1):
