@@ -4,10 +4,12 @@ statistics, method ranking, and the CSV/JSON/text report formats.
 Case pairing rule: prediction and ground-truth files pair by identical
 filename stem (the name minus ``.nii``/``.nii.gz``); files that do not
 match exactly fall back to the unique longest-common-substring partner
-(at least 4 characters).  Unpaired or ambiguous files are reported as
-warnings and skipped.  An explicit manifest CSV (columns
-``case_id,pred,gt``, each case_id on one row only) overrides the rule
-entirely.
+(at least 4 characters), and that substring, stripped of ``_-.``, is the
+case id.  A fallback whose case id repeats one already paired is
+ambiguous, and its ground truth stays free for the files after it.
+Unpaired or ambiguous files are reported as warnings and skipped.  An
+explicit manifest CSV (columns ``case_id,pred,gt``, each case_id on one
+row only) overrides the rule entirely.
 
 Report shapes: the per-case CSV has the fixed column set
 ``case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt`` (UTF-8, header
@@ -130,27 +132,29 @@ def pair_cases(
     gts = case_files(gt_dir)
 
     pairs: list[tuple[str, Path, Path]] = []
-    matched_gt: set[str] = set()
+    paired_ids: set[str] = set()
     leftovers: list[str] = []
     for stem in sorted(preds):
         if stem in gts:
             pairs.append((stem, preds[stem], gts[stem]))
-            matched_gt.add(stem)
+            paired_ids.add(stem)
         else:
             leftovers.append(stem)
 
-    free_gts = sorted(set(gts) - matched_gt)
+    free_gts = sorted(set(gts) - paired_ids)
     for stem in leftovers:
         common = {g: _longest_common_substring(stem, g) for g in free_gts}
         best = max((len(c) for c in common.values()), default=0)
         winners = [g for g, c in common.items() if len(c) == best]
+        case_id = None
         if best >= _MIN_MATCH_CHARS and len(winners) == 1:
-            gt_stem = winners[0]
-            case_id = common[gt_stem].strip("_-.") or stem
-            pairs.append((case_id, preds[stem], gts[gt_stem]))
-            free_gts.remove(gt_stem)
-        else:
+            case_id = common[winners[0]].strip("_-.") or stem
+        if case_id is None or case_id in paired_ids:
             logger.warning("prediction %s has no unique ground-truth match; skipped", preds[stem])
+            continue
+        pairs.append((case_id, preds[stem], gts[winners[0]]))
+        paired_ids.add(case_id)
+        free_gts.remove(winners[0])
     for g in free_gts:
         logger.warning("ground truth %s has no prediction; skipped", gts[g])
     return sorted(pairs)

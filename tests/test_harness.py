@@ -250,6 +250,22 @@ class TestPairCases:
         assert [p[0] for p in pairs] == ["case_A"]
         assert any("zzzz" in r.message for r in caplog.records)
 
+    def test_fuzzy_case_id_repeating_a_paired_id_is_skipped(self, tmp_path, caplog):
+        # The leftovers BraTS_0001_seg and BraTS_0001x share BraTS_0001,
+        # the id of the exact pair: a second BraTS_0001 row would be scored.
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        vol = nested_label_phantom(dims=(6, 6, 6), wt_radius=2, tc_radius=1.5, et_radius=1)
+        for path in (pred / "BraTS_0001.nii.gz", pred / "BraTS_0001_seg.nii.gz",
+                     gt / "BraTS_0001.nii.gz", gt / "BraTS_0001x.nii.gz"):
+            write_label_file(path, vol)
+        with caplog.at_level(logging.WARNING):
+            pairs = pair_cases(pred, gt)
+        assert pairs == [("BraTS_0001", pred / "BraTS_0001.nii.gz", gt / "BraTS_0001.nii.gz")]
+        messages = [r.message for r in caplog.records]
+        assert any("BraTS_0001_seg" in m for m in messages)
+        assert any("BraTS_0001x" in m for m in messages)
+
     def test_manifest_override(self, tmp_path):
         pred, gt = tmp_path / "p", tmp_path / "g"
         pred.mkdir(), gt.mkdir()

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -57,6 +59,15 @@ def placed_mask_pairs(draw):
         return mask(member, spacing=spacing)
 
     return placed(), placed()
+
+
+def _dense_noise_and_ball():
+    """Noise over half the grid against a ball, with anisotropic spacing
+    and the noise Fortran-ordered: the union box is the whole grid, and
+    most of the noise is surface, far from the ball's."""
+    dims, spacing = (14, 13, 12), (0.4, 1.5, 2.7)
+    noise = np.asfortranarray(np.random.default_rng(7).random(dims) < 0.5)
+    return mask(noise, spacing=spacing), mask(ball(dims, 4.0), spacing=spacing)
 
 
 class TestDice:
@@ -167,11 +178,30 @@ class TestHd95:
         assert got == pytest.approx(expected, abs=1e-9)
 
     @given(placed_mask_pairs())
+    @example(_dense_noise_and_ball())
     @settings(max_examples=300, deadline=None)
     def test_union_box_crop_is_exact(self, pair):
         a, b = pair
         assert hd95(a, b) == hd95_full_grid(a, b)
         assert hd95(b, a) == hd95_full_grid(b, a)
+
+    def test_whole_grid_box_peak_under_24_bytes_a_voxel(self):
+        # 2% noise puts the union box on the whole grid.  Two float64
+        # distance maps over the box, with SciPy's temporaries for them,
+        # cost about 59 bytes a voxel; the int32 feature transform alone 12.
+        dims, spacing = (64, 64, 48), (0.9375, 1.0, 1.5)
+        noise = np.random.default_rng(5).random(dims) < 0.02
+        block = np.zeros(dims, bool)
+        block[16:48, 20:44, 12:36] = True
+        a, b = mask(noise, spacing=spacing), mask(block, spacing=spacing)
+        hd95(a, b)  # the first call imports SciPy, which tracemalloc would count
+        tracemalloc.start()
+        try:
+            hd95(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * noise.size
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
