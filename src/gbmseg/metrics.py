@@ -15,15 +15,21 @@ Conventions:
   tumour, not the grid.  The crop is exact: every surface voxel, and so
   every voxel a distance is measured to, lies inside the box; outside the
   box no voxel belongs to either mask, so counting out-of-box neighbours
-  as outside changes no surface voxel; and the distance transform
-  compares only index differences, which a crop does not change.
-  Distances are read from SciPy's feature transform at surface voxels
-  only, with no float64 distance map over the box: about 16 bytes per
-  box voxel at peak.
-* SciPy's ``ndimage`` is imported inside ``_surface`` and
-  ``_surface_distances``, the two functions that call it, so importing
-  this module (as the CLI does for every command) loads none of SciPy;
-  ``gbmseg fuse`` never does.
+  as outside changes no surface voxel; and distances depend only on index
+  differences, which a crop does not change.  In each direction, when
+  every surface voxel has a voxel of the other surface within ``_REACH``
+  voxels along each axis, a search of that cube in increasing distance
+  finds each nearest voxel.  Otherwise, or when the nearest may lie
+  outside the cube, SciPy's feature transform of the box names it, with
+  no float64 distance map over the box: about 16 bytes per box voxel at
+  peak.  Both take the distance with the same float arithmetic, so they
+  give bit-identical values.
+* Only that feature transform needs SciPy, and ``_surface_distances``
+  imports ``scipy.ndimage`` when it first runs it.  Importing this module
+  (as the CLI does for every command) loads none of SciPy; ``gbmseg
+  fuse`` never does, and ``gbmseg evaluate`` does only when a direction
+  needs the transform, as when a surface voxel has no voxel of the other
+  surface within ``_REACH`` voxels along each axis.
 """
 
 from __future__ import annotations
@@ -42,8 +48,11 @@ from .volume import (
     union_box,
 )
 
-# The 3x3x3 cross: the centre voxel and its six face neighbours.
-_SIX_CONNECTED = np.abs(np.indices((3, 3, 3)) - 1).sum(axis=0) <= 1
+# Cube half-side, in voxels, of the nearest-voxel search that spares HD95
+# SciPy's distance transform.  At 2, one direction of the benchmark's
+# ensemble_local workload still needed the transform; at 3, none did, nor
+# any direction of a correctly paired cohort_small case.
+_REACH = 3
 
 LOG_CLAMP = 1e-12
 
@@ -91,10 +100,17 @@ def dice(a: RegionMask, b: RegionMask) -> float:
 
 def _surface(member: np.ndarray) -> np.ndarray:
     """Boolean mask of member voxels with a 6-connected neighbor outside."""
-    from scipy import ndimage
-
-    eroded = ndimage.binary_erosion(member, structure=_SIX_CONNECTED, border_value=0)
-    return member & ~eroded
+    inner = (slice(1, -1),) * 3
+    interior = member[inner].copy(order="K")
+    for axis in range(3):
+        for low, high in ((None, -2), (2, None)):
+            neighbor = list(inner)
+            neighbor[axis] = slice(low, high)
+            interior &= member[tuple(neighbor)]
+    # a voxel on a grid face has a side out of the grid, so it stays surface
+    surface = member.copy(order="K")
+    surface[inner] &= ~interior
+    return surface
 
 
 def surface_voxels(m: RegionMask) -> np.ndarray:
@@ -139,20 +155,80 @@ def _surface_distances(
     """Distance in mm from each ``surf_from`` voxel, in C order, to the
     nearest ``surf_to`` voxel.
 
-    The feature transform of the complement names that nearest voxel at
-    every voxel; the distance is taken only where it is read, with the
-    arithmetic ``distance_transform_edt`` applies to the whole grid, so the
-    values are bit-identical to its distance map's.
+    ``_cube_search`` finds each nearest voxel that lies within a few
+    voxels.  When some does not, the feature transform of the complement
+    names them all.  Both take the squared distance with ``_squared_mm``,
+    the arithmetic ``distance_transform_edt`` applies to the whole grid, so
+    the values are bit-identical to its distance map's.
     """
-    from scipy import ndimage
-
-    nearest = ndimage.distance_transform_edt(
-        ~surf_to, sampling=spacing, return_distances=False, return_indices=True)
     at = np.nonzero(surf_from)
-    offset = (nearest[(slice(None),) + at] - at).astype(np.float64)
+    squared = _cube_search(at, surf_to, spacing)
+    if squared is None:
+        from scipy import ndimage
+
+        nearest = ndimage.distance_transform_edt(
+            ~surf_to, sampling=spacing, return_distances=False, return_indices=True)
+        squared = _squared_mm(nearest[(slice(None),) + at] - at, spacing)
+    return np.sqrt(squared)
+
+
+def _squared_mm(offset: np.ndarray, spacing: np.ndarray) -> np.ndarray:
+    """Squared length in mm of each column of a (3, n) int voxel offset."""
+    offset = offset.astype(np.float64)
     offset *= spacing[:, None]
     np.multiply(offset, offset, offset)
-    return np.sqrt(np.add.reduce(offset, axis=0))
+    return np.add.reduce(offset, axis=0)
+
+
+def _within_reach(mask: np.ndarray) -> np.ndarray:
+    """Voxels with a ``mask`` voxel within ``_REACH`` voxels along each
+    axis: a cube dilation, done one axis at a time."""
+    near = mask.copy(order="K")
+    for axis in range(3):
+        grown = np.moveaxis(near, axis, 0)
+        source = grown.copy(order="K")
+        for step in range(1, _REACH + 1):
+            grown[step:] |= source[:-step]
+            grown[:-step] |= source[step:]
+    return near
+
+
+def _cube_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
+                 spacing: np.ndarray) -> np.ndarray | None:
+    """Squared mm from each voxel ``at`` to its nearest ``surf_to`` voxel,
+    or None when some voxel has none in the searched ball.
+
+    One dilation finds at once a voxel with no ``surf_to`` voxel in its
+    cube of side ``2 * _REACH + 1``.  Otherwise the cube's offsets are
+    tried in increasing squared mm, and a voxel's first hit is its nearest.
+    Only offsets up to ``((_REACH + 1) * min(spacing))**2`` are tried: a
+    voxel outside the cube lies at least that far along one axis, and
+    since rounding is monotone, its squared mm as ``_squared_mm`` computes
+    it is no smaller, so no voxel outside the cube is nearer than a hit.
+    """
+    if not _within_reach(surf_to)[at].all():
+        return None
+    side = 2 * _REACH + 1
+    cube = np.indices((side, side, side)).reshape(3, -1) - _REACH
+    squared = _squared_mm(cube, spacing)
+    edge = (_REACH + 1) * spacing.min()
+    order = np.argsort(squared)
+    order = order[squared[order] <= edge * edge]
+    # _REACH empty voxels a side keep every searched index in the grid
+    padded = np.zeros(tuple(n + 2 * _REACH for n in surf_to.shape), bool)
+    padded[(slice(_REACH, -_REACH),) * 3] = surf_to
+    lookup = padded.ravel()
+    delta = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1]) @ cube
+    flat = np.ravel_multi_index(tuple(a + _REACH for a in at), padded.shape)
+    index = np.arange(flat.size)
+    found = np.empty(flat.size)
+    for j in order:
+        hit = lookup[flat + delta[j]]
+        found[index[hit]] = squared[j]
+        flat, index = flat[~hit], index[~hit]
+        if not index.size:
+            return found
+    return None
 
 
 def soft_dice_ce(p: ProbabilityVolume, y: RegionMask, form: str = "literal") -> float:

@@ -12,12 +12,14 @@ import pytest
 import gbmseg
 from gbmseg.cli import build_parser, main
 from gbmseg.fusion import StapleConfig
-from gbmseg.harness import read_metrics_csv
+from gbmseg.harness import read_labels, read_metrics_csv, write_metrics_csv
+from gbmseg.metrics import CaseMetrics
 from gbmseg.nifti_io import DT_FLOAT32, DT_INT16, DT_UINT8, NiftiHeader, read_volume, write_volume
 from gbmseg.postprocess import DEFAULT_ET_THRESHOLD
 from gbmseg.preprocess import DEFAULT_TARGET_DIMS
-from gbmseg.volume import LabelVolume, VoxelGrid
+from gbmseg.volume import LabelVolume, VoxelGrid, compose_regions
 
+from oracles import dice_bruteforce, hd95_full_grid
 from phantoms import ball, mask_dice, nested_label_phantom, noisy_rater_labels
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
@@ -444,6 +446,52 @@ class TestEvaluateAndReport:
         table = capsys.readouterr().out
         for label in ("Mean", "StdDev", "Median", "25quantile", "75quantile"):
             assert label in table
+
+    def test_evaluate_loads_scipy_only_for_a_far_voxel(self, tmp_path):
+        # HD95 settles surfaces within metrics._REACH voxels of each other in
+        # NumPy; importing SciPy's ndimage cost more than half of such a run.
+        dims = (16, 16, 16)
+        truth = nested_label_phantom(dims=dims, wt_radius=6, tc_radius=4, et_radius=2.5)
+        pred = nested_label_phantom(dims=dims, wt_radius=5, tc_radius=4, et_radius=2)
+        far_labels = pred.labels.copy()
+        far_labels[0, 0, 0] = 2  # an edema voxel 7.5 voxels from the truth's WT surface
+        for name, labels in (("gt", truth), ("near", pred), ("far", LabelVolume(far_labels))):
+            (tmp_path / name).mkdir()
+            for cid in ("case_000", "case_001"):
+                write_labels(tmp_path / name / f"{cid}.nii.gz", labels)
+        script = (
+            "import contextlib, io, json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "import gbmseg.cli\n"
+            "loaded = {}\n"
+            "for step in ('near', 'far'):\n"
+            "    argv = ['evaluate', '--pred', f'{sys.argv[1]}/{step}', '--gt', f'{sys.argv[1]}/gt',\n"
+            "            '--out', f'{sys.argv[1]}/out_{step}']\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        loaded[step] = [gbmseg.cli.main(argv), scipy_modules()]\n"
+            "print(json.dumps(loaded))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(gbmseg.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True, check=True)
+        loaded = json.loads(done.stdout)
+        assert loaded["near"] == [0, []]
+        assert loaded["far"][0] == 0 and "scipy.ndimage" in loaded["far"][1]
+        for step in ("near", "far"):
+            expected = []
+            for cid in ("case_000", "case_001"):
+                pm, gm = (compose_regions(read_labels(tmp_path / d / f"{cid}.nii.gz"))
+                          for d in (step, "gt"))
+                values = {}
+                for p, g in zip(pm, gm):
+                    region = p.region.value.lower()
+                    values[f"dsc_{region}"] = dice_bruteforce(p.member, g.member)
+                    values[f"hd95_{region}"] = hd95_full_grid(p, g)
+                expected.append(CaseMetrics(case_id=cid, **values))
+            write_metrics_csv(expected, tmp_path / f"expected_{step}.csv")
+            assert ((tmp_path / f"out_{step}" / "metrics.csv").read_bytes()
+                    == (tmp_path / f"expected_{step}.csv").read_bytes())
 
     def test_evaluate_deterministic_bytes(self, phantom_dirs, tmp_path):
         method_dirs, gt_dir = phantom_dirs

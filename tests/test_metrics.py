@@ -8,7 +8,9 @@ from hypothesis.extra.numpy import arrays
 
 from gbmseg.errors import GeometryMismatch
 from gbmseg.metrics import (
+    _REACH,
     CaseMetrics,
+    _surface,
     dice,
     evaluate_case,
     hd95,
@@ -68,6 +70,33 @@ def _dense_noise_and_ball():
     dims, spacing = (14, 13, 12), (0.4, 1.5, 2.7)
     noise = np.asfortranarray(np.random.default_rng(7).random(dims) < 0.5)
     return mask(noise, spacing=spacing), mask(ball(dims, 4.0), spacing=spacing)
+
+
+def _corners_beyond_the_ball():
+    """At spacing (0.1, 0.3, 0.7) the cube search may settle only offsets
+    up to 0.4 mm, so most of its cube lies beyond that ball.  From a, every
+    voxel settles in the ball.  From b, the voxel at (8, 8, 7) has a voxel
+    of a one step along the coarsest axis (0.7 mm, inside the cube), but
+    its nearest is 4 steps along the finest (0.4 mm, outside it)."""
+    dims, spacing = (16, 10, 10), (0.1, 0.3, 0.7)
+    a, b = np.zeros(dims, bool), np.zeros(dims, bool)
+    for voxel in ((2, 2, 2), (8, 8, 8), (12, 8, 7)):
+        a[voxel] = True
+    for voxel in ((4, 2, 2), (8, 8, 8), (8, 8, 7), (12, 8, 7)):
+        b[voxel] = True
+    return mask(a, spacing=spacing), mask(b, spacing=spacing)
+
+
+def _nearest_just_outside_the_cube():
+    """b's nearest voxel to a's lies _REACH + 1 voxels along the finest
+    axis, exactly at the bound of the ball the cube search may settle in;
+    b's other voxel lies inside the cube but just beyond that bound."""
+    dims, spacing = (10, 8, 8), (1.0, 1.1, 1.2)
+    a, b = np.zeros(dims, bool), np.zeros(dims, bool)
+    a[2, 2, 2] = True
+    b[2 + _REACH + 1, 2, 2] = True
+    b[2, 2 + _REACH, 4] = True
+    return mask(a, spacing=spacing), mask(b, spacing=spacing)
 
 
 class TestDice:
@@ -133,6 +162,25 @@ class TestSurfaceVoxels:
             got = {tuple(c) for c in surface_voxels(m)}
             assert got == surface_oracle(m.member)
 
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_numpy_surface_equals_binary_erosion(self, data):
+        from scipy import ndimage
+
+        dims = data.draw(st.tuples(*[st.integers(1, 8)] * 3))
+        grid = data.draw(arrays(bool, dims))
+        if data.draw(st.booleans()):
+            grid = np.asfortranarray(grid)
+        low = [data.draw(st.integers(0, n - 1)) for n in dims]
+        crop = grid[tuple(slice(lo, data.draw(st.integers(lo + 1, n))) for lo, n in zip(low, dims))]
+        six = ndimage.generate_binary_structure(3, 1)
+        surface = _surface(crop)
+        assert surface.dtype == bool
+        np.testing.assert_array_equal(
+            surface, crop & ~ndimage.binary_erosion(crop, structure=six, border_value=0))
+        if min(crop.shape) <= 2:  # no voxel has members on both sides along that axis
+            np.testing.assert_array_equal(surface, crop)
+
 
 class TestHd95:
     def test_identical_masks(self):
@@ -179,11 +227,30 @@ class TestHd95:
 
     @given(placed_mask_pairs())
     @example(_dense_noise_and_ball())
+    @example(_corners_beyond_the_ball())
+    @example(_nearest_just_outside_the_cube())
     @settings(max_examples=300, deadline=None)
     def test_union_box_crop_is_exact(self, pair):
         a, b = pair
         assert hd95(a, b) == hd95_full_grid(a, b)
         assert hd95(b, a) == hd95_full_grid(b, a)
+
+    def test_near_masks_need_no_distance_transform(self, monkeypatch):
+        from scipy import ndimage
+
+        dims = (14, 14, 12)
+        pairs = [
+            (mask(ball(dims, 4.0)), mask(ball(dims, 5.0))),
+            (mask(np.asfortranarray(ball(dims, 4.5)), spacing=(0.9375, 0.9375, 1.5)),
+             mask(ball(dims, 4.0, center=(7.0, 6.0, 5.0)), spacing=(0.9375, 0.9375, 1.5))),
+        ]
+        expected = [hd95_full_grid(a, b) for a, b in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("distance transform called")
+
+        monkeypatch.setattr(ndimage, "distance_transform_edt", refuse)
+        assert [hd95(a, b) for a, b in pairs] == expected
 
     def test_whole_grid_box_peak_under_24_bytes_a_voxel(self):
         # 2% noise puts the union box on the whole grid.  Two float64
