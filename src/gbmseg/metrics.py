@@ -16,20 +16,23 @@ Conventions:
   every voxel a distance is measured to, lies inside the box; outside the
   box no voxel belongs to either mask, so counting out-of-box neighbours
   as outside changes no surface voxel; and distances depend only on index
-  differences, which a crop does not change.  In each direction, when
-  every surface voxel has a voxel of the other surface within ``_REACH``
-  voxels along each axis, a search of that cube in increasing distance
-  finds each nearest voxel.  Otherwise, or when the nearest may lie
-  outside the cube, SciPy's feature transform of the box names it, with
-  no float64 distance map over the box: about 16 bytes per box voxel at
-  peak.  Both take the distance with the same float arithmetic, so they
-  give bit-identical values.
+  differences, which a crop does not change.  In each direction, a
+  search of the cube reaching ``_REACH`` voxels along each axis from each
+  surface voxel, in increasing distance, finds the nearest voxel of the
+  other surface when it lies in the cube.  The few voxels it leaves take
+  the minimum over all pairs with the other surface.  When those pairs
+  number more than ``_PAIR_BUDGET``, SciPy's feature transform of the box
+  names the nearest voxels instead, with no float64 distance map over the
+  box: about 16 bytes per box voxel at peak.  Every route takes the
+  distance with the same float arithmetic, so they give bit-identical
+  values.
 * Only that feature transform needs SciPy, and ``_surface_distances``
   imports ``scipy.ndimage`` when it first runs it.  Importing this module
   (as the CLI does for every command) loads none of SciPy; ``gbmseg
-  fuse`` never does, and ``gbmseg evaluate`` does only when a direction
-  needs the transform, as when a surface voxel has no voxel of the other
-  surface within ``_REACH`` voxels along each axis.
+  fuse`` never does, and ``gbmseg evaluate`` does only when, in some
+  direction, the surface voxels the cube search leaves, times the other
+  surface's voxels, exceed ``_PAIR_BUDGET`` pairs, as when noise spreads
+  over the grid.
 """
 
 from __future__ import annotations
@@ -48,11 +51,22 @@ from .volume import (
     union_box,
 )
 
-# Cube half-side, in voxels, of the nearest-voxel search that spares HD95
-# SciPy's distance transform.  At 2, one direction of the benchmark's
-# ensemble_local workload still needed the transform; at 3, none did, nor
-# any direction of a correctly paired cohort_small case.
+# Cube half-side, in voxels, of HD95's nearest-voxel search.  A voxel the
+# cube settles costs one lookup per offset tried; any other costs a pass
+# over the other surface.  At 2, one direction of the benchmark's
+# ensemble_local workload left voxels to the costlier routes; at 3, none
+# did, nor any direction of a correctly paired cohort_small case.
 _REACH = 3
+
+# Most (voxel, surface voxel) pairs HD95 compares one by one in a
+# direction before it runs SciPy's feature transform instead.  On one core
+# 2**22 pairs take 0.04 s: a third of the transform of a 96x96x62 box, and
+# about an eighth of importing scipy.ndimage.
+_PAIR_BUDGET = 1 << 22
+
+# Pairs compared at once by that search: under 1 MB of temporaries, and
+# faster than blocks 4 times larger or smaller.
+_PAIR_BLOCK = 1 << 14
 
 LOG_CLAMP = 1e-12
 
@@ -155,20 +169,29 @@ def _surface_distances(
     """Distance in mm from each ``surf_from`` voxel, in C order, to the
     nearest ``surf_to`` voxel.
 
-    ``_cube_search`` finds each nearest voxel that lies within a few
-    voxels.  When some does not, the feature transform of the complement
-    names them all.  Both take the squared distance with ``_squared_mm``,
-    the arithmetic ``distance_transform_edt`` applies to the whole grid, so
-    the values are bit-identical to its distance map's.
+    One dilation finds the far voxels, those with no ``surf_to`` voxel
+    within ``_REACH`` voxels along each axis.  When comparing each of them
+    with every ``surf_to`` voxel would take more than ``_PAIR_BUDGET``
+    pairs, the feature transform of the complement settles the whole
+    direction.  Otherwise ``_cube_search`` settles the near voxels, and
+    the voxels it leaves take the minimum over all pairs, or, when those
+    pairs are over budget, the feature transform read at them alone.  Every
+    route takes the squared distance with ``_squared_mm``, the arithmetic
+    ``distance_transform_edt`` applies to the whole grid, so the values are
+    bit-identical to its distance map's.
     """
     at = np.nonzero(surf_from)
-    squared = _cube_search(at, surf_to, spacing)
-    if squared is None:
-        from scipy import ndimage
-
-        nearest = ndimage.distance_transform_edt(
-            ~surf_to, sampling=spacing, return_distances=False, return_indices=True)
-        squared = _squared_mm(nearest[(slice(None),) + at] - at, spacing)
+    near = _within_reach(surf_to)[at]
+    n_to = np.count_nonzero(surf_to)
+    if (near.size - np.count_nonzero(near)) * n_to > _PAIR_BUDGET:
+        return np.sqrt(_transform_search(at, surf_to, spacing))
+    squared, left = _cube_search(at, near, surf_to, spacing)
+    if left.size:
+        rest = tuple(a[left] for a in at)
+        if left.size * n_to > _PAIR_BUDGET:
+            squared[left] = _transform_search(rest, surf_to, spacing)
+        else:
+            squared[left] = _pair_search(rest, surf_to, spacing)
     return np.sqrt(squared)
 
 
@@ -193,21 +216,21 @@ def _within_reach(mask: np.ndarray) -> np.ndarray:
     return near
 
 
-def _cube_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
-                 spacing: np.ndarray) -> np.ndarray | None:
-    """Squared mm from each voxel ``at`` to its nearest ``surf_to`` voxel,
-    or None when some voxel has none in the searched ball.
+def _cube_search(at: tuple[np.ndarray, ...], near: np.ndarray, surf_to: np.ndarray,
+                 spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Squared mm from each ``near`` voxel ``at`` to its nearest
+    ``surf_to`` voxel, and the indices into ``at`` of the voxels it left
+    unsettled: those not ``near``, and those with no hit in the ball.
 
-    One dilation finds at once a voxel with no ``surf_to`` voxel in its
-    cube of side ``2 * _REACH + 1``.  Otherwise the cube's offsets are
-    tried in increasing squared mm, and a voxel's first hit is its nearest.
-    Only offsets up to ``((_REACH + 1) * min(spacing))**2`` are tried: a
-    voxel outside the cube lies at least that far along one axis, and
-    since rounding is monotone, its squared mm as ``_squared_mm`` computes
-    it is no smaller, so no voxel outside the cube is nearer than a hit.
+    A ``near`` voxel has a ``surf_to`` voxel in its cube of side
+    ``2 * _REACH + 1``.  The cube's offsets are tried in increasing squared
+    mm, and a voxel's first hit is its nearest.  Only offsets up to
+    ``((_REACH + 1) * min(spacing))**2`` are tried: a voxel outside the
+    cube lies at least that far along one axis, and since rounding is
+    monotone, its squared mm as ``_squared_mm`` computes it is no smaller,
+    so no voxel outside the cube is nearer than a hit.  An unsettled
+    voxel's entry is left unset.
     """
-    if not _within_reach(surf_to)[at].all():
-        return None
     side = 2 * _REACH + 1
     cube = np.indices((side, side, side)).reshape(3, -1) - _REACH
     squared = _squared_mm(cube, spacing)
@@ -219,16 +242,46 @@ def _cube_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
     padded[(slice(_REACH, -_REACH),) * 3] = surf_to
     lookup = padded.ravel()
     delta = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1]) @ cube
-    flat = np.ravel_multi_index(tuple(a + _REACH for a in at), padded.shape)
-    index = np.arange(flat.size)
-    found = np.empty(flat.size)
+    index = np.flatnonzero(near)
+    flat = np.ravel_multi_index(tuple(a[index] + _REACH for a in at), padded.shape)
+    found = np.empty(near.size)
     for j in order:
+        if not index.size:
+            break
         hit = lookup[flat + delta[j]]
         found[index[hit]] = squared[j]
         flat, index = flat[~hit], index[~hit]
-        if not index.size:
-            return found
-    return None
+    return found, np.concatenate([np.flatnonzero(~near), index])
+
+
+def _pair_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
+                 spacing: np.ndarray) -> np.ndarray:
+    """Squared mm from each voxel ``at`` to its nearest ``surf_to`` voxel:
+    the minimum over all pairs, taken in blocks of at most ``_PAIR_BLOCK``
+    pairs, so memory stays bounded however many voxels either side has."""
+    source = np.array(at)
+    target = np.array(np.nonzero(surf_to))
+    cols = min(target.shape[1], _PAIR_BLOCK)
+    rows = _PAIR_BLOCK // cols
+    found = np.full(source.shape[1], np.inf)
+    for i in range(0, source.shape[1], rows):
+        best = found[i:i + rows]
+        for k in range(0, target.shape[1], cols):
+            offset = target[:, None, k:k + cols] - source[:, i:i + rows, None]
+            squared = _squared_mm(offset.reshape(3, -1), spacing)
+            np.minimum(best, squared.reshape(offset.shape[1:]).min(axis=1), out=best)
+    return found
+
+
+def _transform_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
+                      spacing: np.ndarray) -> np.ndarray:
+    """Squared mm from each voxel ``at`` to its nearest ``surf_to`` voxel,
+    as SciPy's feature transform of the box names it."""
+    from scipy import ndimage
+
+    nearest = ndimage.distance_transform_edt(
+        ~surf_to, sampling=spacing, return_distances=False, return_indices=True)
+    return _squared_mm(nearest[(slice(None),) + at] - at, spacing)
 
 
 def soft_dice_ce(p: ProbabilityVolume, y: RegionMask, form: str = "literal") -> float:

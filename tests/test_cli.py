@@ -447,26 +447,37 @@ class TestEvaluateAndReport:
         for label in ("Mean", "StdDev", "Median", "25quantile", "75quantile"):
             assert label in table
 
-    def test_evaluate_loads_scipy_only_for_a_far_voxel(self, tmp_path):
-        # HD95 settles surfaces within metrics._REACH voxels of each other in
-        # NumPy; importing SciPy's ndimage cost more than half of such a run.
+    def test_evaluate_loads_scipy_only_for_many_far_pairs(self, tmp_path):
+        # HD95 settles near surface voxels, and a few far ones, in NumPy;
+        # importing SciPy's ndimage cost more than half of such a run.  Only
+        # far voxels that, times the other surface's voxels, make more than
+        # metrics._PAIR_BUDGET pairs need the feature transform.
         dims = (16, 16, 16)
         truth = nested_label_phantom(dims=dims, wt_radius=6, tc_radius=4, et_radius=2.5)
         pred = nested_label_phantom(dims=dims, wt_radius=5, tc_radius=4, et_radius=2)
         far_labels = pred.labels.copy()
         far_labels[0, 0, 0] = 2  # an edema voxel 7.5 voxels from the truth's WT surface
-        for name, labels in (("gt", truth), ("near", pred), ("far", LabelVolume(far_labels))):
+        # 2% noise against a block: about 3,400 far voxels times 3,900 block
+        # surface voxels, over the budget
+        noise_dims = (64, 64, 48)
+        noise = (np.random.default_rng(5).random(noise_dims) < 0.02).astype(np.uint8) * 2
+        block = np.zeros(noise_dims, np.uint8)
+        block[16:48, 20:44, 12:36] = 2
+        volumes = (("gt", truth), ("near", pred), ("far", LabelVolume(far_labels)),
+                   ("gt_block", LabelVolume(block)), ("noise", LabelVolume(noise)))
+        for name, labels in volumes:
             (tmp_path / name).mkdir()
             for cid in ("case_000", "case_001"):
                 write_labels(tmp_path / name / f"{cid}.nii.gz", labels)
+        steps = {"near": "gt", "far": "gt", "noise": "gt_block"}
         script = (
             "import contextlib, io, json, sys\n"
             "def scipy_modules():\n"
             "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
             "import gbmseg.cli\n"
             "loaded = {}\n"
-            "for step in ('near', 'far'):\n"
-            "    argv = ['evaluate', '--pred', f'{sys.argv[1]}/{step}', '--gt', f'{sys.argv[1]}/gt',\n"
+            f"for step, gt in {steps!r}.items():\n"
+            "    argv = ['evaluate', '--pred', f'{sys.argv[1]}/{step}', '--gt', f'{sys.argv[1]}/{gt}',\n"
             "            '--out', f'{sys.argv[1]}/out_{step}']\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             "        loaded[step] = [gbmseg.cli.main(argv), scipy_modules()]\n"
@@ -477,12 +488,13 @@ class TestEvaluateAndReport:
                               env=env, capture_output=True, text=True, check=True)
         loaded = json.loads(done.stdout)
         assert loaded["near"] == [0, []]
-        assert loaded["far"][0] == 0 and "scipy.ndimage" in loaded["far"][1]
-        for step in ("near", "far"):
+        assert loaded["far"] == [0, []]
+        assert loaded["noise"][0] == 0 and "scipy.ndimage" in loaded["noise"][1]
+        for step, gt in steps.items():
             expected = []
             for cid in ("case_000", "case_001"):
                 pm, gm = (compose_regions(read_labels(tmp_path / d / f"{cid}.nii.gz"))
-                          for d in (step, "gt"))
+                          for d in (step, gt))
                 values = {}
                 for p, g in zip(pm, gm):
                     region = p.region.value.lower()

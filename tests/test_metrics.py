@@ -1,4 +1,5 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from gbmseg import metrics
 from gbmseg.errors import GeometryMismatch
 from gbmseg.metrics import (
+    _PAIR_BLOCK,
     _REACH,
     CaseMetrics,
     _surface,
@@ -235,6 +238,24 @@ class TestHd95:
         assert hd95(a, b) == hd95_full_grid(a, b)
         assert hd95(b, a) == hd95_full_grid(b, a)
 
+    @pytest.mark.parametrize(
+        "budget, block", [(0, _PAIR_BLOCK), (1 << 62, _PAIR_BLOCK), (1 << 62, 5)],
+        ids=["transform", "pairs", "pairs-in-blocks-of-5"])
+    @given(placed_mask_pairs())
+    @example(_dense_noise_and_ball())
+    @example(_corners_beyond_the_ball())
+    @example(_nearest_just_outside_the_cube())
+    @settings(max_examples=300, deadline=None)
+    def test_each_far_voxel_route_is_exact(self, budget, block, pair):
+        # At budget 0 every voxel the cube search leaves goes to the feature
+        # transform; at the larger budget every one goes to all pairs, which
+        # blocks of 5 pairs split along both axes.
+        a, b = pair
+        with mock.patch.object(metrics, "_PAIR_BUDGET", budget), \
+                mock.patch.object(metrics, "_PAIR_BLOCK", block):
+            assert hd95(a, b) == hd95_full_grid(a, b)
+            assert hd95(b, a) == hd95_full_grid(b, a)
+
     def test_near_masks_need_no_distance_transform(self, monkeypatch):
         from scipy import ndimage
 
@@ -251,6 +272,24 @@ class TestHd95:
 
         monkeypatch.setattr(ndimage, "distance_transform_edt", refuse)
         assert [hd95(a, b) for a, b in pairs] == expected
+
+    def test_far_voxels_under_budget_need_no_distance_transform(self, monkeypatch):
+        from scipy import ndimage
+
+        dims, spacing = (14, 14, 12), (0.9375, 0.9375, 1.5)
+        with_corner = ball(dims, 4.0)
+        with_corner[0, 0, 0] = True  # 4 voxels along each axis from b's surface
+        pairs = [
+            _corners_beyond_the_ball(),
+            (mask(with_corner, spacing=spacing), mask(ball(dims, 5.0), spacing=spacing)),
+        ]
+        expected = [(hd95_full_grid(a, b), hd95_full_grid(b, a)) for a, b in pairs]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("distance transform called")
+
+        monkeypatch.setattr(ndimage, "distance_transform_edt", refuse)
+        assert [(hd95(a, b), hd95(b, a)) for a, b in pairs] == expected
 
     def test_whole_grid_box_peak_under_24_bytes_a_voxel(self):
         # 2% noise puts the union box on the whole grid.  Two float64
@@ -269,6 +308,29 @@ class TestHd95:
         finally:
             tracemalloc.stop()
         assert peak <= 24 * noise.size
+
+    def test_all_pairs_peak_under_24_bytes_a_voxel(self):
+        # 15% noise against itself plus a far 3x3x3 cube: the noise settles
+        # at distance 0, and the cube's 26 surface voxels are compared with
+        # more noise surface voxels than one block of pairs holds.
+        dims, spacing = (64, 64, 48), (0.9375, 1.0, 1.5)
+        noise = np.zeros(dims, bool)
+        noise[:48] = np.random.default_rng(5).random((48,) + dims[1:]) < 0.15
+        with_cube = noise.copy()
+        with_cube[58:61, 58:61, 42:45] = True
+        assert np.count_nonzero(_surface(noise)) > _PAIR_BLOCK
+        a, b = mask(with_cube, spacing=spacing), mask(noise, spacing=spacing)
+        box_size = 61 * 64 * 48
+        with mock.patch.object(metrics, "_pair_search", wraps=metrics._pair_search) as pairs:
+            hd95(a, b)
+        assert pairs.call_count == 1
+        tracemalloc.start()
+        try:
+            hd95(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 24 * box_size
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
