@@ -160,6 +160,18 @@ def pair_cases(
     return sorted(pairs)
 
 
+@contextmanager
+def _csv_reader(path):
+    """A ``csv.DictReader`` over the UTF-8 file ``path``.  Bytes that are
+    not UTF-8, or a field over the csv module's size limit, raise IoFailure
+    naming the file, whether the header or a row holds them."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield csv.DictReader(fh)
+        except (UnicodeDecodeError, csv.Error) as err:
+            raise IoFailure(f"{path}: {err}") from err
+
+
 def _csv_rows(reader: csv.DictReader, path):
     """Yield the rows of ``reader``; a row whose field count differs from
     the header's, or that repeats a ``case_id``, raises IoFailure naming
@@ -180,8 +192,7 @@ def _csv_rows(reader: csv.DictReader, path):
 def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     base = manifest.parent
     pairs = []
-    with open(manifest, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(manifest) as reader:
         missing = sorted({"case_id", "pred", "gt"} - set(reader.fieldnames or ()))
         if missing:
             raise IoFailure(f"{manifest}: manifest has no column {', '.join(missing)}")
@@ -338,8 +349,7 @@ def _metric_value(column: str, text: str) -> float:
 
 
 def read_metrics_csv(path) -> list[CaseMetrics]:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+    with _csv_reader(path) as reader:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
             raise EmptyInput(f"{path}: not a metrics CSV (columns {reader.fieldnames})")
         cases = []

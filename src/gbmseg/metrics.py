@@ -16,16 +16,18 @@ Conventions:
   every voxel a distance is measured to, lies inside the box; outside the
   box no voxel belongs to either mask, so counting out-of-box neighbours
   as outside changes no surface voxel; and distances depend only on index
-  differences, which a crop does not change.  In each direction, a
-  search of the cube reaching ``_REACH`` voxels along each axis from each
-  surface voxel, in increasing distance, finds the nearest voxel of the
-  other surface when it lies in the cube.  The few voxels it leaves take
-  the minimum over all pairs with the other surface.  When those pairs
-  number more than ``_PAIR_BUDGET``, SciPy's feature transform of the box
-  names the nearest voxels instead, with no float64 distance map over the
-  box: about 16 bytes per box voxel at peak.  Every route takes the
-  distance with the same float arithmetic, so they give bit-identical
-  values.
+  differences, which a crop does not change.  Each surface is listed
+  once, as coordinates, and both directions read the two lists.  In each
+  direction, a search of the cube reaching ``_REACH`` voxels along each
+  axis from every surface voxel, in increasing distance, finds the
+  nearest voxel of the other surface when it lies in the cube.  The
+  voxels it leaves, far ones among them, take the minimum over all pairs
+  with the other surface.  When those pairs number more than
+  ``_PAIR_BUDGET``, SciPy's feature transform of the box names the
+  nearest voxels instead, read at the leftovers alone, with no float64
+  distance map over the box: about 16 bytes per box voxel at peak.
+  Every route takes the distance with the same float arithmetic, so they
+  give bit-identical values.
 * Only that feature transform needs SciPy, and ``_surface_distances``
   imports ``scipy.ndimage`` when it first runs it.  Importing this module
   (as the CLI does for every command) loads none of SciPy; ``gbmseg
@@ -51,11 +53,12 @@ from .volume import (
     union_box,
 )
 
-# Cube half-side, in voxels, of HD95's nearest-voxel search.  A voxel the
-# cube settles costs one lookup per offset tried; any other costs a pass
-# over the other surface.  At 2, one direction of the benchmark's
-# ensemble_local workload left voxels to the costlier routes; at 3, none
-# did, nor any direction of a correctly paired cohort_small case.
+# Cube half-side, in voxels, of HD95's nearest-voxel search.  Every surface
+# voxel costs one lookup per offset tried until it settles; one the cube
+# leaves tries them all, then costs a pass over the other surface.  At 2,
+# one direction of the benchmark's ensemble_local workload left voxels to
+# the costlier routes; at 3, none did, nor any direction of a correctly
+# paired cohort_small case.
 _REACH = 3
 
 # Most (voxel, surface voxel) pairs HD95 compares one by one in a
@@ -155,43 +158,36 @@ def hd95(a: RegionMask, b: RegionMask) -> float:
     box = union_box([a.member, b.member])
     surf_a = _surface(a.member[box])
     surf_b = _surface(b.member[box])
+    at_a, at_b = np.nonzero(surf_a), np.nonzero(surf_b)
     spacing = np.asarray(a.spacing, dtype=np.float64)
     distances = np.concatenate([
-        _surface_distances(surf_a, surf_b, spacing),
-        _surface_distances(surf_b, surf_a, spacing),
+        _surface_distances(at_a, surf_b, at_b, spacing),
+        _surface_distances(at_b, surf_a, at_a, spacing),
     ])
     return float(np.percentile(distances, 95))
 
 
-def _surface_distances(
-    surf_from: np.ndarray, surf_to: np.ndarray, spacing: np.ndarray
-) -> np.ndarray:
-    """Distance in mm from each ``surf_from`` voxel, in C order, to the
-    nearest ``surf_to`` voxel.
+def _surface_distances(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
+                       to: tuple[np.ndarray, ...], spacing: np.ndarray) -> np.ndarray:
+    """Distance in mm from each surface voxel ``at`` to the nearest voxel
+    of the other surface, given both as the mask ``surf_to`` and as its
+    coordinates ``to``.
 
-    One dilation finds the far voxels, those with no ``surf_to`` voxel
-    within ``_REACH`` voxels along each axis.  When comparing each of them
-    with every ``surf_to`` voxel would take more than ``_PAIR_BUDGET``
-    pairs, the feature transform of the complement settles the whole
-    direction.  Otherwise ``_cube_search`` settles the near voxels, and
-    the voxels it leaves take the minimum over all pairs, or, when those
-    pairs are over budget, the feature transform read at them alone.  Every
-    route takes the squared distance with ``_squared_mm``, the arithmetic
-    ``distance_transform_edt`` applies to the whole grid, so the values are
-    bit-identical to its distance map's.
+    ``_cube_search`` settles every voxel whose nearest lies in its cube.
+    The voxels it leaves take the minimum over all pairs with ``to``, or,
+    when those pairs number more than ``_PAIR_BUDGET``, the feature
+    transform read at them alone.  Every route takes the squared distance
+    with ``_squared_mm``, the arithmetic ``distance_transform_edt`` applies
+    to the whole grid, so the values are bit-identical to its distance
+    map's.
     """
-    at = np.nonzero(surf_from)
-    near = _within_reach(surf_to)[at]
-    n_to = np.count_nonzero(surf_to)
-    if (near.size - np.count_nonzero(near)) * n_to > _PAIR_BUDGET:
-        return np.sqrt(_transform_search(at, surf_to, spacing))
-    squared, left = _cube_search(at, near, surf_to, spacing)
+    squared, left = _cube_search(at, surf_to, spacing)
     if left.size:
         rest = tuple(a[left] for a in at)
-        if left.size * n_to > _PAIR_BUDGET:
+        if left.size * to[0].size > _PAIR_BUDGET:
             squared[left] = _transform_search(rest, surf_to, spacing)
         else:
-            squared[left] = _pair_search(rest, surf_to, spacing)
+            squared[left] = _pair_search(rest, to, spacing)
     return np.sqrt(squared)
 
 
@@ -203,33 +199,19 @@ def _squared_mm(offset: np.ndarray, spacing: np.ndarray) -> np.ndarray:
     return np.add.reduce(offset, axis=0)
 
 
-def _within_reach(mask: np.ndarray) -> np.ndarray:
-    """Voxels with a ``mask`` voxel within ``_REACH`` voxels along each
-    axis: a cube dilation, done one axis at a time."""
-    near = mask.copy(order="K")
-    for axis in range(3):
-        grown = np.moveaxis(near, axis, 0)
-        source = grown.copy(order="K")
-        for step in range(1, _REACH + 1):
-            grown[step:] |= source[:-step]
-            grown[:-step] |= source[step:]
-    return near
-
-
-def _cube_search(at: tuple[np.ndarray, ...], near: np.ndarray, surf_to: np.ndarray,
+def _cube_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
                  spacing: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Squared mm from each ``near`` voxel ``at`` to its nearest
-    ``surf_to`` voxel, and the indices into ``at`` of the voxels it left
-    unsettled: those not ``near``, and those with no hit in the ball.
+    """Squared mm from each voxel ``at`` to its nearest ``surf_to`` voxel,
+    and the indices into ``at`` of the voxels it left unsettled: those with
+    no ``surf_to`` voxel in the ball searched.
 
-    A ``near`` voxel has a ``surf_to`` voxel in its cube of side
-    ``2 * _REACH + 1``.  The cube's offsets are tried in increasing squared
-    mm, and a voxel's first hit is its nearest.  Only offsets up to
-    ``((_REACH + 1) * min(spacing))**2`` are tried: a voxel outside the
-    cube lies at least that far along one axis, and since rounding is
-    monotone, its squared mm as ``_squared_mm`` computes it is no smaller,
-    so no voxel outside the cube is nearer than a hit.  An unsettled
-    voxel's entry is left unset.
+    The offsets of the cube of side ``2 * _REACH + 1`` are tried in
+    increasing squared mm, and a voxel's first hit is its nearest.  Only
+    offsets up to ``((_REACH + 1) * min(spacing))**2`` are tried: a voxel
+    outside the cube lies at least that far along one axis, and since
+    rounding is monotone, its squared mm as ``_squared_mm`` computes it is
+    no smaller, so no voxel outside the cube is nearer than a hit.  An
+    unsettled voxel's entry is left unset.
     """
     side = 2 * _REACH + 1
     cube = np.indices((side, side, side)).reshape(3, -1) - _REACH
@@ -237,30 +219,32 @@ def _cube_search(at: tuple[np.ndarray, ...], near: np.ndarray, surf_to: np.ndarr
     edge = (_REACH + 1) * spacing.min()
     order = np.argsort(squared)
     order = order[squared[order] <= edge * edge]
-    # _REACH empty voxels a side keep every searched index in the grid
-    padded = np.zeros(tuple(n + 2 * _REACH for n in surf_to.shape), bool)
-    padded[(slice(_REACH, -_REACH),) * 3] = surf_to
-    lookup = padded.ravel()
-    delta = np.array([padded.shape[1] * padded.shape[2], padded.shape[2], 1]) @ cube
-    index = np.flatnonzero(near)
-    flat = np.ravel_multi_index(tuple(a[index] + _REACH for a in at), padded.shape)
-    found = np.empty(near.size)
+    # _REACH empty voxels a side keep every searched index in the grid.  The
+    # padding keeps the surface's layout (Fortran when read from disk), as a
+    # transposing copy costs more than most searches, so strides index it.
+    padded = np.pad(surf_to, _REACH)
+    lookup = padded.ravel(order="K")
+    steps = np.array(padded.strides)  # in bytes, and a bool is one byte
+    delta = steps @ cube
+    flat = steps @ (np.array(at) + _REACH)
+    index = np.arange(flat.size)
+    found = np.empty(flat.size)
     for j in order:
         if not index.size:
             break
         hit = lookup[flat + delta[j]]
         found[index[hit]] = squared[j]
         flat, index = flat[~hit], index[~hit]
-    return found, np.concatenate([np.flatnonzero(~near), index])
+    return found, index
 
 
-def _pair_search(at: tuple[np.ndarray, ...], surf_to: np.ndarray,
+def _pair_search(at: tuple[np.ndarray, ...], to: tuple[np.ndarray, ...],
                  spacing: np.ndarray) -> np.ndarray:
-    """Squared mm from each voxel ``at`` to its nearest ``surf_to`` voxel:
-    the minimum over all pairs, taken in blocks of at most ``_PAIR_BLOCK``
+    """Squared mm from each voxel ``at`` to its nearest voxel ``to``: the
+    minimum over all pairs, taken in blocks of at most ``_PAIR_BLOCK``
     pairs, so memory stays bounded however many voxels either side has."""
     source = np.array(at)
-    target = np.array(np.nonzero(surf_to))
+    target = np.array(to)
     cols = min(target.shape[1], _PAIR_BLOCK)
     rows = _PAIR_BLOCK // cols
     found = np.full(source.shape[1], np.inf)

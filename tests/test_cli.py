@@ -707,3 +707,33 @@ class TestEvaluateAndReport:
         assert code == 2
         err = capsys.readouterr().err
         assert str(manifest) in err and named in err
+
+    @pytest.mark.parametrize("command", ["report", "evaluate"])
+    @pytest.mark.parametrize("where", ["header", "row"])
+    @pytest.mark.parametrize("fault", ["not_utf8", "oversize_field"])
+    def test_unreadable_csv_is_data_error(self, phantom_dirs, tmp_path, capsys,
+                                          command, where, fault):
+        # a byte that is not UTF-8, or a field over the csv module's limit
+        # of 131072 characters, once escaped as a traceback with exit 1
+        method_dirs, gt_dir = phantom_dirs
+        header = ("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt" if command == "report"
+                  else "case_id,pred,gt").encode()
+        row = (b"a,1.00,1.00,1.00,0.0000,0.0000,0.0000" if command == "report"
+               else b"case_000,method0/case_000.nii.gz,gt/case_000.nii.gz")
+        bad = b"cas\xe9" if fault == "not_utf8" else b"c" * 131073
+        if where == "header":
+            header = header.replace(b"case_id", b"case_id," + bad)
+        else:
+            row = row.replace(b"a," if command == "report" else b"case_000,", bad + b",", 1)
+        csv = tmp_path / "in.csv"
+        csv.write_bytes(header + b"\n" + row + b"\n")
+        out = tmp_path / "out"
+        if command == "report":
+            argv = ["report", str(csv), "--out", str(out)]
+        else:
+            argv = ["evaluate", "--pred", str(method_dirs[0]), "--gt", str(gt_dir),
+                    "--out", str(out), "--manifest", str(csv)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"gbmseg: error: {csv}") and "Traceback" not in err
+        assert not out.exists()

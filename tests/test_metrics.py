@@ -256,6 +256,27 @@ class TestHd95:
             assert hd95(a, b) == hd95_full_grid(a, b)
             assert hd95(b, a) == hd95_full_grid(b, a)
 
+    @given(placed_mask_pairs())
+    @example(_dense_noise_and_ball())
+    @example(_corners_beyond_the_ball())
+    @example(_nearest_just_outside_the_cube())
+    @settings(max_examples=300, deadline=None)
+    def test_cube_search_leaves_exactly_the_voxels_with_no_hit_in_its_ball(self, pair):
+        # The ball searched: at most _REACH voxels along each axis, and at
+        # most (_REACH + 1) voxels of the finest spacing away.  Every voxel
+        # with a target in it settles at its nearest target anywhere.
+        a, b = pair
+        spacing = np.asarray(a.spacing)
+        at = np.nonzero(a.member)
+        squared, left = metrics._cube_search(at, b.member, spacing)
+        offset = np.argwhere(b.member)[None, :, :] - np.transpose(at)[:, None, :]
+        brute = ((offset * spacing) ** 2).sum(axis=2)
+        edge = (_REACH + 1) * spacing.min()
+        in_ball = (np.abs(offset).max(axis=2) <= _REACH) & (brute <= edge * edge)
+        settled = in_ball.any(axis=1)
+        assert np.array_equal(np.sort(left), np.flatnonzero(~settled))
+        assert np.array_equal(squared[settled], brute[settled].min(axis=1, initial=np.inf))
+
     def test_near_masks_need_no_distance_transform(self, monkeypatch):
         from scipy import ndimage
 
