@@ -14,7 +14,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import GbmsegError, IoFailure, NoMatchedCases
+from .errors import GbmsegError, IoFailure, NoMatchedCases, TooFewRaters
 from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     aggregate,
@@ -92,9 +92,9 @@ def _cmd_preprocess(args) -> None:
                             f"{out_dir / path.name}")
         by_name[path.name] = path
     _refuse_overwrite(inputs, [out_dir / p.name for p in inputs])
-    out_dir.mkdir(parents=True, exist_ok=True)
     grids = [read_volume(p)[1] for p in inputs]
     box = brain_bounding_box(grids)
+    out_dir.mkdir(parents=True, exist_ok=True)
     target = tuple(args.target)
     for path, grid in zip(inputs, grids):
         fitted = crop_and_fit(grid, box, target)
@@ -121,6 +121,8 @@ def _cmd_augment(args) -> None:
 def _cmd_fuse(args) -> None:
     method_dirs = [Path(d) for d in args.methods]
     out_dir = Path(args.out)
+    if args.method == "staple" and len(method_dirs) < 2:
+        raise TooFewRaters(f"STAPLE needs >= 2 method directories, got {len(method_dirs)}")
     per_dir = [case_files(d) for d in method_dirs]
     common = sorted(set.intersection(*(set(d) for d in per_dir)))
     for d, cases in zip(method_dirs, per_dir):
@@ -130,6 +132,11 @@ def _cmd_fuse(args) -> None:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")
     _refuse_overwrite([d[c] for d in per_dir for c in common],
                       [out_dir / f"{c}.nii.gz" for c in common])
+    for case_id in common:  # case_files would then refuse out_dir for holding both
+        other = out_dir / f"{case_id}.nii"
+        if other.is_file():
+            raise IoFailure(f"output {out_dir / f'{case_id}.nii.gz'} would be a second file "
+                            f"for case {case_id} beside {other}")
     out_dir.mkdir(parents=True, exist_ok=True)
 
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)

@@ -222,8 +222,9 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     count) multiset as over every voxel: results are bit-identical.  Only
     the boolean consensus has the grid's size.  A grid with no voxels raises
     :class:`EmptyInput`.  Codes are at most 16 bits wide, so R > 16 raises
-    :class:`TooManyRaters`.  An E-step weighing every voxel exactly 1 (or 0)
-    leaves the M-step nothing to divide by: :class:`DegenerateInput`.
+    :class:`TooManyRaters`.  A prevalence of 0 or 1, or an E-step weighing
+    every voxel exactly 1 (or 0), leaves the M-step nothing to divide by:
+    :class:`DegenerateInput`.
     """
     n_raters = len(raters)
     if n_raters < 2:
@@ -247,14 +248,12 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     counts[0] += n_voxels - codes.size  # the voxels outside the box all have pattern 0
     patterns = np.flatnonzero(counts).astype(code_type)
     counts = counts[patterns]
-    if len(patterns) == 1 and int(patterns[0]) in (0, all_marked):
-        raise DegenerateInput("every rater marks every voxel identically")
     shifts = np.arange(n_raters, dtype=code_type)[:, None]
     marks = (patterns[None, :] >> shifts) & 1 == 1  # (R, P)
 
-    positives = marks.sum(axis=0)
-    # in (0, 1): past the check above, some code is nonzero and some is not all-marked
-    prior = np.full(len(patterns), float(counts @ positives) / (n_raters * n_voxels))
+    prior = float(counts @ marks.sum(axis=0)) / (n_raters * n_voxels)
+    if not 0.0 < prior < 1.0:
+        raise DegenerateInput("every rater marks every voxel identically")
     log_prior = np.log(prior)
     log_not_prior = np.log1p(-prior)
 
@@ -264,10 +263,8 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
 
     weights = prior
     trace: list[float] = []
-    iterations = 0
     delta = np.inf
     for _ in range(cfg.max_iter):
-        iterations += 1
         # E-step, in log space: log a_p (foreground) vs log b_p (background)
         log_a = log_prior + _ordered_sum(
             np.where(marks, np.log(sens)[:, None], np.log1p(-sens)[:, None]), axis=0)
@@ -309,7 +306,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         patterns=patterns,
         weights=weights,
         performances=tuple(RaterPerformance(float(p), float(q)) for p, q in zip(sens, spec)),
-        iterations=iterations,
+        iterations=len(trace),
         loglik_trace=tuple(trace),
         consensus=RegionMask(member, first.region, first.spacing, first.affine),
         converged=converged,

@@ -158,13 +158,21 @@ def hd95(a: RegionMask, b: RegionMask) -> float:
     box = union_box([a.member, b.member])
     surf_a = _surface(a.member[box])
     surf_b = _surface(b.member[box])
-    at_a, at_b = np.nonzero(surf_a), np.nonzero(surf_b)
+    at_a, at_b = _listed(surf_a), _listed(surf_b)
     spacing = np.asarray(a.spacing, dtype=np.float64)
     distances = np.concatenate([
         _surface_distances(at_a, surf_b, at_b, spacing),
         _surface_distances(at_b, surf_a, at_a, spacing),
     ])
     return float(np.percentile(distances, 95))
+
+
+def _listed(surface: np.ndarray) -> tuple[np.ndarray, ...]:
+    """A surface's voxel coordinates, listed in its memory order (Fortran
+    for volumes read from disk); HD95 takes a multiset, so no value changes."""
+    if surface.flags.f_contiguous:
+        return np.nonzero(surface.T)[::-1]
+    return np.nonzero(surface)
 
 
 def _surface_distances(at: tuple[np.ndarray, ...], surf_to: np.ndarray,

@@ -183,6 +183,20 @@ class TestPreprocess:
         assert "1 non-finite" in capsys.readouterr().err
         assert not (out / src.name).exists()
 
+    @pytest.mark.parametrize("second", ["other_dims", "all_zero"])
+    def test_unusable_inputs_leave_no_output_directory(self, tmp_path, capsys, second):
+        # both failures were reported with exit 2, but only after --out was created
+        first = write_brain_with(tmp_path, 1.0)
+        values = np.zeros((8, 8, 9) if second == "other_dims" else (8, 8, 8), np.float32)
+        src = tmp_path / "t2.nii"
+        write_volume(src, NiftiHeader.for_grid(VoxelGrid(values), DT_FLOAT32), VoxelGrid(values))
+        inputs = [first, src] if second == "other_dims" else [src]
+        out = tmp_path / "pre"
+        assert main(["preprocess", *map(str, inputs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert ("dims" if second == "other_dims" else "every voxel is zero") in err
+        assert not out.exists()
+
     def test_no_normalize_copies_a_nan_through(self, tmp_path):
         src = write_brain_with(tmp_path, np.nan)
         out = tmp_path / "pre"
@@ -334,6 +348,16 @@ class TestFuse:
                      "--out", str(tmp_path / "x")])
         assert code == 2
 
+    def test_staple_over_one_method_dir_fails_before_creating_out(self, phantom_dirs,
+                                                                  tmp_path, capsys):
+        # once "case case_000: need >= 2 method predictions, got 1", after --out was created
+        method_dirs, _ = phantom_dirs
+        out = tmp_path / "new"
+        assert main(["fuse", str(method_dirs[0]), "--method", "staple", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "2 method directories, got 1" in err and "case" not in err
+        assert not out.exists()
+
     def test_truncated_gzip_input_is_data_error(self, phantom_dirs, tmp_path, capsys):
         method_dirs, _ = phantom_dirs
         victim = method_dirs[1] / "case_001.nii.gz"
@@ -420,6 +444,22 @@ class TestFuse:
         assert code == 2 and captured.out == ""
         assert str(out / "case_000.nii.gz") in captured.err
         assert str(method_dirs[0] / "case_000.nii.gz") in captured.err
+        assert {p: p.read_bytes() for d in method_dirs for p in d.iterdir()} == before
+
+    def test_output_beside_an_uncompressed_input_is_data_error(self, phantom_dirs, capsys):
+        # fuse m0 m1 m2 --out m0, with m0 holding c.nii, once wrote m0/c.nii.gz
+        # beside it, and every later run reading m0 failed: "case c has two files"
+        method_dirs, _ = phantom_dirs
+        out = method_dirs[0]
+        for gz in sorted(out.iterdir()):
+            gz.with_suffix("").write_bytes(gzip.decompress(gz.read_bytes()))
+            gz.unlink()
+        before = {p: p.read_bytes() for d in method_dirs for p in d.iterdir()}
+        code = main(["fuse", *map(str, method_dirs), "--method", "vote", "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert str(out / "case_000.nii.gz") in captured.err
+        assert str(out / "case_000.nii") in captured.err
         assert {p: p.read_bytes() for d in method_dirs for p in d.iterdir()} == before
 
     def test_deterministic_outputs(self, phantom_dirs, tmp_path):

@@ -11,6 +11,7 @@ from gbmseg import metrics
 from gbmseg.errors import GeometryMismatch
 from gbmseg.metrics import (
     _PAIR_BLOCK,
+    _PAIR_BUDGET,
     _REACH,
     CaseMetrics,
     _surface,
@@ -255,6 +256,21 @@ class TestHd95:
                 mock.patch.object(metrics, "_PAIR_BLOCK", block):
             assert hd95(a, b) == hd95_full_grid(a, b)
             assert hd95(b, a) == hd95_full_grid(b, a)
+
+    @pytest.mark.parametrize("budget", [_PAIR_BUDGET, 0], ids=["default", "transform"])
+    @given(placed_mask_pairs())
+    @example(_dense_noise_and_ball())
+    @example(_corners_beyond_the_ball())
+    @example(_nearest_just_outside_the_cube())
+    @settings(max_examples=200, deadline=None)
+    def test_fortran_and_c_order_give_the_same_value(self, budget, pair):
+        # a Fortran-ordered surface is listed in its own memory order, so the
+        # two orders list the same voxels in different sequences
+        c_order = [mask(np.ascontiguousarray(m.member), spacing=m.spacing) for m in pair]
+        f_order = [mask(np.asfortranarray(m.member), spacing=m.spacing) for m in pair]
+        with mock.patch.object(metrics, "_PAIR_BUDGET", budget):
+            assert repr(hd95(*c_order)) == repr(hd95(*f_order))
+            assert repr(hd95(*c_order[::-1])) == repr(hd95(*f_order[::-1]))
 
     @given(placed_mask_pairs())
     @example(_dense_noise_and_ball())
