@@ -14,13 +14,15 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
+
 from .errors import GbmsegError, IoFailure, NoMatchedCases, TooFewRaters
 from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     aggregate,
     build_report,
-    case_context,
     case_files,
+    error_prefix,
     evaluate_dataset,
     rank_all,
     read_labels,
@@ -30,7 +32,7 @@ from .harness import (
     write_json,
     write_metrics_csv,
 )
-from .nifti_io import DT_FLOAT32, DT_UINT8, NiftiHeader, read_volume, write_volume
+from .nifti_io import DT_FLOAT32, DT_UINT8, MAX_DIM, NiftiHeader, read_volume, write_volume
 from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from .preprocess import (
     DEFAULT_TARGET_DIMS,
@@ -40,7 +42,7 @@ from .preprocess import (
     sample_augmentation,
     zscore_normalize,
 )
-from .volume import LabelVolume
+from .volume import LabelVolume, VoxelGrid
 
 logger = logging.getLogger(__name__)
 
@@ -53,15 +55,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive(convert, zero_ok: bool = False):
+def _positive(convert, zero_ok: bool = False, at_most=None):
     """argparse type: ``convert(text)``, which must be > 0, or >= 0 when
-    ``zero_ok``.  NaN fails both tests."""
+    ``zero_ok``, and at most ``at_most`` when given.  NaN fails both tests."""
 
     def parse(text: str):
         value = convert(text)
         if not (value >= 0 if zero_ok else value > 0):
             wanted = "non-negative" if zero_ok else "positive"
             raise argparse.ArgumentTypeError(f"must be {wanted}, got {text}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(f"must be at most {at_most}, got {text}")
         return value
 
     parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
@@ -94,13 +98,17 @@ def _cmd_preprocess(args) -> None:
     _refuse_overwrite(inputs, [out_dir / p.name for p in inputs])
     grids = [read_volume(p)[1] for p in inputs]
     box = brain_bounding_box(grids)
+    # Every input is fitted before out_dir exists.  Each is held in its read
+    # grid's place, as the float32 that write_volume would cast it to.
+    for i, path in enumerate(inputs):
+        with error_prefix(str(path)):
+            grid = crop_and_fit(grids[i], box, tuple(args.target))
+            if not args.no_normalize:
+                grid = zscore_normalize(grid)
+            grids[i] = VoxelGrid(grid.values.astype(np.float32), grid.spacing, grid.affine)
     out_dir.mkdir(parents=True, exist_ok=True)
-    target = tuple(args.target)
     for path, grid in zip(inputs, grids):
-        fitted = crop_and_fit(grid, box, target)
-        if not args.no_normalize:
-            fitted = zscore_normalize(fitted)
-        write_volume(out_dir / path.name, NiftiHeader.for_grid(fitted, DT_FLOAT32), fitted)
+        write_volume(out_dir / path.name, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
     size = tuple(s.stop - s.start for s in box)
     print(f"preprocessed {len(inputs)} volume(s) to {out_dir} (brain box {size})")
 
@@ -141,7 +149,7 @@ def _cmd_fuse(args) -> None:
 
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
     for case_id in common:
-        with case_context(case_id):
+        with error_prefix(f"case {case_id}"):
             raters = [read_labels(d[case_id]) for d in per_dir]
             if args.method == "vote":
                 fused = majority_vote(raters)
@@ -213,9 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="crop to the brain box, fit to target dims, z-score")
     p.add_argument("inputs", nargs="+", help="modality NIfTI volumes of one case")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--target", nargs=3, type=_positive(int), default=list(DEFAULT_TARGET_DIMS),
-                   metavar=("X", "Y", "Z"),
-                   help=f"target dims (default {' '.join(map(str, DEFAULT_TARGET_DIMS))})")
+    p.add_argument("--target", nargs=3, type=_positive(int, at_most=MAX_DIM),
+                   default=list(DEFAULT_TARGET_DIMS), metavar=("X", "Y", "Z"),
+                   help=f"target dims, each at most {MAX_DIM} "
+                        f"(default {' '.join(map(str, DEFAULT_TARGET_DIMS))})")
     p.add_argument("--no-normalize", action="store_true", help="skip z-score normalization")
     p.set_defaults(func=_cmd_preprocess)
 

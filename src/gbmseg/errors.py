@@ -99,4 +99,4 @@ class NoMatchedCases(GbmsegError):
 
 class UnreadableVolume(GbmsegError):
     """A label volume could not be read; the message names the file, and
-    ``harness.case_context`` prefixes the case."""
+    ``harness.error_prefix`` prefixes the case."""

@@ -13,10 +13,13 @@ Its E-step takes the logistic of one log-odds value per pattern, one at
 a time with the C library's ``exp``, bit for bit as ``scipy.special.expit``
 does but without loading SciPy.  Its result keeps one weight per pattern.
 
-Voting, the mean and STAPLE work only inside the union box: the tightest
-box holding every voxel that some input marks nonzero.  Outside it every
+Voting and STAPLE work only inside the union box: the tightest box
+holding every voxel that some input marks nonzero.  Outside it every
 input says 0, so each rule's answer there is known without looking, and
-every output stays bit-identical to the full-grid computation.
+every output stays bit-identical to the full-grid computation.  The mean
+counts every voxel, as finding its box would cost as much as the count.
+Arrays over the raters' payload take its memory order (Fortran, as read
+from disk), so no pass over them, and no write of the fused volume, transposes.
 """
 
 from __future__ import annotations
@@ -125,13 +128,13 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     box = union_box([r.labels for r in raters])
     inside = [r.labels[box] for r in raters]
     counts = np.zeros((len(BRATS_LABELS),) + inside[0].shape,
-                      dtype=np.min_scalar_type(len(raters)))
+                      dtype=np.min_scalar_type(len(raters)), order="F")
     for labels in inside:
         for idx, label in enumerate(BRATS_LABELS):
             counts[idx] += labels == label
     # argmax returns the first maximum; BRATS_LABELS is ascending, so ties
     # resolve to the smallest label.
-    winner = np.zeros(raters[0].dims, dtype=np.uint8)
+    winner = np.zeros_like(raters[0].labels)
     winner[box] = np.asarray(BRATS_LABELS, dtype=np.uint8)[counts.argmax(axis=0)]
     return LabelVolume(winner, raters[0].spacing, raters[0].affine)
 
@@ -150,8 +153,7 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
 
     A region keeps a voxel where k of the R raters mark it and 2·k >= R.
     This equals thresholding the float mean of the 0/1 masks at 0.5,
-    because k/R is correctly rounded.  Only the region's union box is
-    counted: outside it k = 0 < ⌈R/2⌉.  The three masks are recombined
+    because k/R is correctly rounded.  The three masks are recombined
     through the ET > TC > WT label priority.
     """
     if not raters:
@@ -159,14 +161,10 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
 
     def keep_half(masks: list[RegionMask]) -> RegionMask:
-        box = union_box([m.member for m in masks])
-        inside = [m.member[box] for m in masks]
-        marked = np.zeros(inside[0].shape, dtype=np.min_scalar_type(len(masks)))
-        for member in inside:
-            np.add(marked, member, out=marked)
-        kept = np.zeros(masks[0].dims, dtype=bool)
-        kept[box] = marked >= needed
-        return RegionMask(kept, masks[0].region, masks[0].spacing, masks[0].affine)
+        marked = np.zeros_like(masks[0].member, dtype=np.min_scalar_type(len(masks)))
+        for mask in masks:
+            np.add(marked, mask.member, out=marked)
+        return RegionMask(marked >= needed, masks[0].region, masks[0].spacing, masks[0].affine)
 
     return _fuse_regions(raters, keep_half)
 
@@ -241,10 +239,10 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     code_type = np.min_scalar_type(all_marked)
     box = union_box([r.member for r in raters])
     inside = [r.member[box] for r in raters]
-    codes = np.zeros(inside[0].shape, dtype=code_type)  # C order: ravel copies any other
+    codes = np.zeros_like(inside[0], dtype=code_type)
     for j, member in enumerate(inside):
         codes |= member.astype(code_type) << code_type.type(j)
-    counts = np.bincount(codes.ravel(), minlength=all_marked + 1)
+    counts = np.bincount(codes.ravel(order="K"), minlength=all_marked + 1)
     counts[0] += n_voxels - codes.size  # the voxels outside the box all have pattern 0
     patterns = np.flatnonzero(counts).astype(code_type)
     counts = counts[patterns]
@@ -300,7 +298,7 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     decision = np.zeros(all_marked + 1, dtype=bool)
     decision[patterns] = weights >= 0.5
     # outside the box is pattern 0, whose weight can be >= 0.5 too
-    member = np.full(first.dims, decision[0])
+    member = np.full_like(first.member, decision[0])
     member[box] = decision[codes]
     return StapleResult(
         patterns=patterns,

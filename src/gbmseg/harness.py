@@ -217,12 +217,12 @@ def read_labels(path) -> LabelVolume:
 
 
 @contextmanager
-def case_context(case_id: str):
-    """Prefix ``case <id>: `` to a GbmsegError raised inside, keeping its class."""
+def error_prefix(prefix: str):
+    """Prefix ``<prefix>: `` to a GbmsegError raised inside, keeping its class."""
     try:
         yield
     except GbmsegError as err:
-        raise type(err)(f"case {case_id}: {err}") from err
+        raise type(err)(f"{prefix}: {err}") from err
 
 
 def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
@@ -232,7 +232,7 @@ def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
         raise NoMatchedCases(f"no case pairs between {pred_dir} and {gt_dir}")
     results = []
     for case_id, pred_path, gt_path in pairs:
-        with case_context(case_id):
+        with error_prefix(f"case {case_id}"):
             pred, gt = read_labels(pred_path), read_labels(gt_path)
             results.append(evaluate_case(pred, gt, case_id=case_id))
     return results

@@ -32,6 +32,7 @@ from .volume import VoxelGrid, checked_geometry
 
 HEADER_SIZE = 348
 DATA_OFFSET = 352  # header + 4-byte extension flag
+MAX_DIM = 32767  # dim[] is an int16 field
 
 # datatype code -> numpy dtype character
 _DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
@@ -244,8 +245,8 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     path = Path(path)
     if header.dims != grid.dims:
         raise DimensionMismatch(f"header dims {header.dims} != grid dims {grid.dims}")
-    if max(header.dims) > 32767:  # dim[] is an int16 field
-        raise IoFailure(f"cannot write {path}: dims {header.dims} exceed 32767")
+    if max(header.dims) > MAX_DIM:
+        raise IoFailure(f"cannot write {path}: dims {header.dims} exceed {MAX_DIM}")
     if _rescales(header):
         raise IoFailure(
             f"cannot write {path}: scl_slope {header.scale_slope} and scl_inter "

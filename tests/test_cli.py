@@ -131,6 +131,19 @@ class TestNumericFlags:
         assert "argument --target" in err and "all-zero" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("x,code", [("32767", 0), ("32768", 1)])
+    def test_target_above_the_nifti_dim_limit_is_usage_error(self, tmp_path, capsys, x, code):
+        # 32768 once built the grid, failed at write with exit 2 and left an
+        # empty --out: NIfTI-1 stores each dim in an int16
+        src = write_brain_with(tmp_path, 1.0)
+        out = tmp_path / "out2"
+        assert main(["preprocess", str(src), "--out", str(out), "--target", x, "2", "2"]) == code
+        if code:
+            assert "argument --target" in capsys.readouterr().err
+            assert not out.exists()
+        else:
+            assert read_volume(out / src.name)[1].dims == (32767, 2, 2)
+
     def test_negative_augment_seed_is_usage_error(self, tmp_path, capsys):
         src = tmp_path / "in.nii"
         grid = VoxelGrid(ball((8, 8, 8), 3.0).astype(np.float64))
@@ -195,6 +208,20 @@ class TestPreprocess:
         assert main(["preprocess", *map(str, inputs), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert ("dims" if second == "other_dims" else "every voxel is zero") in err
+        assert not out.exists()
+
+    def test_non_finite_second_input_leaves_no_output_directory(self, tmp_path, capsys):
+        # a.nii was once written before b.nii's NaN was found, and the
+        # message did not say which input held it
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_brain_with(tmp_path / "a", 1.0).rename(tmp_path / "a.nii")
+        second = write_brain_with(tmp_path / "b", np.nan).rename(tmp_path / "b.nii")
+        out = tmp_path / "out"
+        assert main(["preprocess", str(first), str(second), "--out", str(out),
+                     "--target", "8", "8", "8"]) == 2
+        err = capsys.readouterr().err
+        assert f"{second}: 1 non-finite" in err and str(first) not in err
         assert not out.exists()
 
     def test_no_normalize_copies_a_nan_through(self, tmp_path):

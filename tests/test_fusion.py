@@ -27,6 +27,7 @@ from gbmseg.fusion import (
     staple_binary,
     staple_regions,
 )
+from gbmseg.postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
 from gbmseg.volume import (
     BRATS_LABELS,
     REGIONS,
@@ -682,6 +683,20 @@ class TestUnionBoxWorkIsBoxSized:
     def test_staple_binary_peak_under_two_bytes_a_voxel(self):
         masks = [compose_regions(r)[2] for r in self._raters()]
         assert _peak_traced_bytes(staple_binary, masks) < 2 * masks[0].member.size
+
+
+@pytest.mark.parametrize("rule", [majority_vote, mean_regions, staple_regions])
+def test_fortran_ordered_raters_give_fortran_ordered_labels(rule):
+    # volumes read from disk are Fortran-ordered; a C-ordered fused grid
+    # made every later pass over it, and its write, a transposing walk
+    rng = np.random.default_rng(52)
+    truth = nested_label_phantom(dims=(20, 18, 16), wt_radius=7, tc_radius=5, et_radius=2.5)
+    raters = [LabelVolume(np.asfortranarray(noisy_rater_labels(truth, rng, 0.1, 0.02).labels))
+              for _ in range(3)]
+    fused = rule(raters)
+    assert fused.labels.flags.f_contiguous
+    assert 0 < np.count_nonzero(fused.labels == 4) < DEFAULT_ET_THRESHOLD  # so ET is relabelled
+    assert et_threshold_relabel(fused).labels.flags.f_contiguous
 
 
 def region_triple(labels: LabelVolume, flip_rng=None, noise=0.0):
