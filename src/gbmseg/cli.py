@@ -1,7 +1,9 @@
 """Command-line toolkit: preprocess, augment, fuse, evaluate, report.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  All outputs are
-deterministic given identical inputs and flags.
+deterministic given identical inputs and flags.  A command that exits
+non-zero leaves no file or directory it created, and an existing ``--out``
+keeps its old contents.
 """
 
 from __future__ import annotations
@@ -10,11 +12,12 @@ import argparse
 import json
 import logging
 import os
+import shutil
 import sys
+import tempfile
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from .errors import GbmsegError, IoFailure, NoMatchedCases, TooFewRaters
 from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
@@ -42,7 +45,7 @@ from .preprocess import (
     sample_augmentation,
     zscore_normalize,
 )
-from .volume import LabelVolume, VoxelGrid
+from .volume import LabelVolume, require_same_geometry
 
 logger = logging.getLogger(__name__)
 
@@ -72,13 +75,40 @@ def _positive(convert, zero_ok: bool = False, at_most=None):
     return parse
 
 
-def _refuse_overwrite(inputs: list[Path], outputs: list[Path]) -> None:
-    """Raise IoFailure if an output path resolves to an input file."""
-    resolved = {p.resolve(): p for p in inputs}
-    for out in outputs:
-        source = resolved.get(out.resolve())
-        if source is not None:
-            raise IoFailure(f"output {out} would overwrite input {source}")
+@contextmanager
+def _output_plan(out_dir: Path, names: list[str], inputs: list, sources=None):
+    """Check a command's outputs, ``out_dir / name`` for each of ``names``,
+    before anything is read or created; ``sources[i]``, when given, names
+    what output i is written from.  Yield a hidden directory in ``out_dir``
+    to write them in.  On success each file replaces its output; on any error
+    the plan removes that directory, then each directory it made, and re-raises."""
+    outputs = [out_dir / name for name in names]
+    resolved, planned = {Path(p).resolve(): p for p in inputs}, {}
+    for out, source in zip(outputs, sources or outputs):
+        key = out.resolve()
+        other = out.with_name(out.name[:-3] if out.name.endswith(".gz") else out.name + ".gz")
+        if key in resolved:
+            raise IoFailure(f"output {out} would overwrite input {resolved[key]}")
+        if key in planned:
+            raise IoFailure(f"{planned[key]} and {source} would both be written to {out}")
+        if out.is_dir():  # checked now, so that no os.replace below can fail on it
+            raise IoFailure(f"output {out} is a directory")
+        if out.name.endswith((".nii", ".nii.gz")) and other.is_file():
+            raise IoFailure(f"output {out} would be a second file beside {other}")
+        planned[key] = source
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staging = Path(tempfile.mkdtemp(prefix=".gbmseg-", dir=out_dir))
+    try:
+        yield staging
+        for name in names:
+            os.replace(staging / name, out_dir / name)
+    except BaseException:
+        shutil.rmtree(staging)
+        for d in made:  # deepest first; never one the plan did not make
+            d.rmdir()
+        raise
+    staging.rmdir()
 
 
 def _write_labels(path: Path, labels: LabelVolume) -> None:
@@ -89,40 +119,33 @@ def _write_labels(path: Path, labels: LabelVolume) -> None:
 def _cmd_preprocess(args) -> None:
     out_dir = Path(args.out)
     inputs = [Path(p) for p in args.inputs]
-    by_name: dict[str, Path] = {}
-    for path in inputs:  # each input is written to out_dir / its file name
-        if path.name in by_name:
-            raise IoFailure(f"{by_name[path.name]} and {path} would both be written to "
-                            f"{out_dir / path.name}")
-        by_name[path.name] = path
-    _refuse_overwrite(inputs, [out_dir / p.name for p in inputs])
-    grids = [read_volume(p)[1] for p in inputs]
-    box = brain_bounding_box(grids)
-    # Every input is fitted before out_dir exists.  Each is held in its read
-    # grid's place, as the float32 that write_volume would cast it to.
-    for i, path in enumerate(inputs):
-        with error_prefix(str(path)):
-            grid = crop_and_fit(grids[i], box, tuple(args.target))
-            if not args.no_normalize:
-                grid = zscore_normalize(grid)
-            grids[i] = VoxelGrid(grid.values.astype(np.float32), grid.spacing, grid.affine)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for path, grid in zip(inputs, grids):
-        write_volume(out_dir / path.name, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
+    with _output_plan(out_dir, [p.name for p in inputs], inputs, sources=inputs) as staging:
+        grids = [read_volume(p)[1] for p in inputs]
+        for path, grid in zip(inputs[1:], grids[1:]):
+            with error_prefix(f"{inputs[0]} and {path}"):
+                require_same_geometry(grids[0], grid)
+        box = brain_bounding_box(grids)
+        for path, grid in zip(inputs, grids):
+            with error_prefix(str(path)):
+                grid = crop_and_fit(grid, box, tuple(args.target))
+                if not args.no_normalize:
+                    grid = zscore_normalize(grid)
+            write_volume(staging / path.name, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
     size = tuple(s.stop - s.start for s in box)
     print(f"preprocessed {len(inputs)} volume(s) to {out_dir} (brain box {size})")
 
 
 def _cmd_augment(args) -> None:
-    _refuse_overwrite([Path(args.input)], [Path(args.out)])
+    out = Path(args.out)
     spec = sample_augmentation(args.seed)
-    _, grid = read_volume(args.input)
-    if args.labels:  # a foreign label raises BadLabel rather than wrapping in the uint8 write
-        grid = LabelVolume.from_grid(grid).to_grid()
     payload = "labels" if args.labels else "intensity"
-    augmented = apply_augmentation(grid, spec, payload)
-    datatype = DT_UINT8 if args.labels else DT_FLOAT32
-    write_volume(args.out, NiftiHeader.for_grid(augmented, datatype), augmented)
+    with _output_plan(out.parent, [out.name], [args.input]) as staging:
+        _, grid = read_volume(args.input)
+        if args.labels:  # a foreign label raises BadLabel rather than wrapping in the uint8 write
+            grid = LabelVolume.from_grid(grid).to_grid()
+        augmented = apply_augmentation(grid, spec, payload)
+        datatype = DT_UINT8 if args.labels else DT_FLOAT32
+        write_volume(staging / out.name, NiftiHeader.for_grid(augmented, datatype), augmented)
     print(json.dumps({**asdict(spec), "payload": payload}, sort_keys=True))
 
 
@@ -138,39 +161,30 @@ def _cmd_fuse(args) -> None:
             logger.warning("case %s only present in %s; skipped", missing, d)
     if not common:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")
-    _refuse_overwrite([d[c] for d in per_dir for c in common],
-                      [out_dir / f"{c}.nii.gz" for c in common])
-    for case_id in common:  # case_files would then refuse out_dir for holding both
-        other = out_dir / f"{case_id}.nii"
-        if other.is_file():
-            raise IoFailure(f"output {out_dir / f'{case_id}.nii.gz'} would be a second file "
-                            f"for case {case_id} beside {other}")
-    out_dir.mkdir(parents=True, exist_ok=True)
-
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
-    for case_id in common:
-        with error_prefix(f"case {case_id}"):
-            raters = [read_labels(d[case_id]) for d in per_dir]
-            if args.method == "vote":
-                fused = majority_vote(raters)
-            elif args.method == "mean":
-                fused = mean_regions(raters)
-            else:
-                fused = staple_regions(raters, staple_cfg)
-            fused = et_threshold_relabel(fused, args.et_threshold)
-            _write_labels(out_dir / f"{case_id}.nii.gz", fused)
+    inputs = [d[c] for d in per_dir for c in common]
+    with _output_plan(out_dir, [f"{c}.nii.gz" for c in common], inputs) as staging:
+        for case_id in common:
+            with error_prefix(f"case {case_id}"):
+                raters = [read_labels(d[case_id]) for d in per_dir]
+                if args.method == "vote":
+                    fused = majority_vote(raters)
+                elif args.method == "mean":
+                    fused = mean_regions(raters)
+                else:
+                    fused = staple_regions(raters, staple_cfg)
+                fused = et_threshold_relabel(fused, args.et_threshold)
+                _write_labels(staging / f"{case_id}.nii.gz", fused)
     print(f"fused {len(common)} case(s) with method={args.method} to {out_dir}")
 
 
 def _cmd_evaluate(args) -> None:
-    out_dir = Path(args.out)
-    if args.manifest is not None:
-        _refuse_overwrite([Path(args.manifest)], [out_dir / "metrics.csv", out_dir / "report.json"])
-    cases = evaluate_dataset(args.pred, args.gt, manifest=args.manifest)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    report = aggregate(cases)
-    write_metrics_csv(cases, out_dir / "metrics.csv")
-    write_json(build_report(cases, report), out_dir / "report.json")
+    inputs = [] if args.manifest is None else [args.manifest]
+    with _output_plan(Path(args.out), ["metrics.csv", "report.json"], inputs) as staging:
+        cases = evaluate_dataset(args.pred, args.gt, manifest=args.manifest)
+        report = aggregate(cases)
+        write_metrics_csv(cases, staging / "metrics.csv")
+        write_json(build_report(cases, report), staging / "report.json")
     print(render_aggregate_table(report), end="")
 
 
@@ -186,26 +200,20 @@ def _default_names(csvs: list[str]) -> list[str]:
 
 
 def _cmd_report(args) -> None:
-    out_dir = Path(args.out)
     names = args.names or _default_names(args.csvs)
     if len(names) != len(args.csvs):
-        raise GbmsegError(
-            f"{len(args.csvs)} CSV inputs but {len(names)} names"
-        )
-    _refuse_overwrite([Path(p) for p in args.csvs],
-                      [out_dir / "ranking.json", out_dir / "aggregates.txt"])
-    summaries = []
-    tables = []
-    for name, path in zip(names, args.csvs):
-        cases = read_metrics_csv(path)
-        report = aggregate(cases)
-        summaries.append(summarize_method(name, report))
-        tables.append(f"== {name} ==\n{render_aggregate_table(report)}")
-    orders = rank_all(summaries)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    payload = {"methods": [asdict(s) for s in summaries], "order": orders}
-    write_json(payload, out_dir / "ranking.json")
-    (out_dir / "aggregates.txt").write_bytes("\n".join(tables).encode("utf-8"))
+        raise GbmsegError(f"{len(args.csvs)} CSV inputs but {len(names)} names")
+    with _output_plan(Path(args.out), ["ranking.json", "aggregates.txt"], args.csvs) as staging:
+        summaries, tables = [], []
+        for name, path in zip(names, args.csvs):
+            cases = read_metrics_csv(path)
+            report = aggregate(cases)
+            summaries.append(summarize_method(name, report))
+            tables.append(f"== {name} ==\n{render_aggregate_table(report)}")
+        orders = rank_all(summaries)
+        payload = {"methods": [asdict(s) for s in summaries], "order": orders}
+        write_json(payload, staging / "ranking.json")
+        (staging / "aggregates.txt").write_bytes("\n".join(tables).encode("utf-8"))
     for s in sorted(summaries, key=lambda s: s.ranks["dsc_only"]):
         print(
             f"{s.ranks['dsc_only']:>2}  {s.method_name:<24} "

@@ -17,7 +17,7 @@ class NotNifti(GbmsegError):
 
 
 class UnsupportedDatatype(GbmsegError):
-    """NIfTI datatype code outside the supported set {2, 4, 8, 16, 64}."""
+    """NIfTI datatype code that names no integer, float32 or float64 type."""
 
 
 class TruncatedFile(GbmsegError):

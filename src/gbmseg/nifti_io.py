@@ -1,9 +1,9 @@
 """Single-file NIfTI-1 reader and writer for 3D volumes.
 
 Implements the 348-byte NIfTI-1 header directly (no external imaging
-dependency) for the five datatypes this toolkit needs.  Files written here
-are always little-endian single-file volumes (magic ``n+1``) with the data
-section at byte offset 352; gzip compression is applied when the output
+dependency) for the integer datatypes, float32 and float64.  Files written
+here are always little-endian single-file volumes (magic ``n+1``) with the
+data section at byte offset 352; gzip compression is applied when the output
 path ends in ``.gz`` and detected on read from the 0x1F 0x8B signature.
 
 Field offsets below follow the official nifti1.h layout.
@@ -11,6 +11,7 @@ Field offsets below follow the official nifti1.h layout.
 
 from __future__ import annotations
 
+import contextlib
 import gzip
 import math
 import struct
@@ -35,7 +36,8 @@ DATA_OFFSET = 352  # header + 4-byte extension flag
 MAX_DIM = 32767  # dim[] is an int16 field
 
 # datatype code -> numpy dtype character
-_DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8"}
+_DTYPES = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8",
+           256: "i1", 512: "u2", 768: "u4", 1024: "i8", 1280: "u8"}
 
 DT_UINT8 = 2
 DT_INT16 = 4
@@ -262,15 +264,14 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     except ValueError as err:
         raise IoFailure(f"cannot write {path}: geometry as float32: {err}") from err
     dt = np.dtype(_DTYPES[header.datatype_code]).newbyteorder("<")
-    payload = np.asarray(grid.values, dtype=dt).tobytes(order="F")
-    blob = _pack_header(header, spacing, affine) + b"\x00\x00\x00\x00" + payload
+    # F-contiguous in the file's dtype, raveled without a copy when it already is
+    payload = np.asfortranarray(grid.values, dtype=dt).ravel(order="K")
     try:
-        if path.name.endswith(".gz"):
+        with open(path, "wb") as fh:
             # filename="" and mtime=0 keep the gzip container byte-stable
-            with open(path, "wb") as fh:
-                with gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0) as gz:
-                    gz.write(blob)
-        else:
-            path.write_bytes(blob)
+            with (gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0)
+                  if path.name.endswith(".gz") else contextlib.nullcontext(fh)) as out:
+                out.write(_pack_header(header, spacing, affine) + b"\x00\x00\x00\x00")
+                out.write(payload)
     except OSError as err:
         raise IoFailure(f"cannot write {path}: {err}") from err

@@ -1,4 +1,6 @@
+import errno
 import gzip
+import itertools
 import json
 import os
 import struct
@@ -10,11 +12,13 @@ import numpy as np
 import pytest
 
 import gbmseg
+from gbmseg import cli
 from gbmseg.cli import build_parser, main
 from gbmseg.fusion import StapleConfig
 from gbmseg.harness import read_labels, read_metrics_csv, write_metrics_csv
 from gbmseg.metrics import CaseMetrics
-from gbmseg.nifti_io import DT_FLOAT32, DT_INT16, DT_UINT8, NiftiHeader, read_volume, write_volume
+from gbmseg.nifti_io import (DT_FLOAT32, DT_INT16, DT_UINT8, NiftiHeader, read_volume,
+                              write_volume)
 from gbmseg.postprocess import DEFAULT_ET_THRESHOLD
 from gbmseg.preprocess import DEFAULT_TARGET_DIMS
 from gbmseg.volume import LabelVolume, VoxelGrid, compose_regions
@@ -45,6 +49,26 @@ def write_brain_with(tmp_path, bad) -> Path:
     src = tmp_path / "t1.nii"
     write_volume(src, NiftiHeader.for_grid(VoxelGrid(values), DT_FLOAT32), VoxelGrid(values))
     return src
+
+
+def disk_full_from_call(monkeypatch, name: str, n: int) -> None:
+    """From its n-th call on, ``cli.<name>`` writes its file and then raises
+    ENOSPC, as a full disk can when the file is closed."""
+    real, calls = getattr(cli, name), itertools.count(1)
+
+    def write(*args):
+        real(*args)
+        if next(calls) >= n:
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(cli, name, write)
+
+
+def entries(directory: Path) -> dict[str, bytes]:
+    """Every entry under a directory, hidden ones included: file bytes, or
+    b"<dir>" for a directory."""
+    return {str(p.relative_to(directory)): b"<dir>" if p.is_dir() else p.read_bytes()
+            for p in sorted(directory.rglob("*"))}
 
 
 @pytest.fixture
@@ -224,6 +248,43 @@ class TestPreprocess:
         assert f"{second}: 1 non-finite" in err and str(first) not in err
         assert not out.exists()
 
+    def test_inputs_of_other_dims_are_named(self, tmp_path, capsys):
+        # once only "geometry differs: dims (8, 8, 8) vs (8, 8, 9)", naming neither file
+        first, second = tmp_path / "a.nii", tmp_path / "b.nii"
+        for path, dims in ((first, (8, 8, 8)), (second, (8, 8, 9))):
+            grid = VoxelGrid(np.ones(dims, np.float32))
+            write_volume(path, NiftiHeader.for_grid(grid, DT_FLOAT32), grid)
+        out = tmp_path / "o"
+        assert main(["preprocess", str(first), str(second), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"gbmseg: error: {first} and {second}: "
+                                           f"geometry differs: dims (8, 8, 8) vs (8, 8, 9)\n")
+        assert not out.exists()
+
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # a.nii was once left in --out when writing b.nii failed
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = write_brain_with(tmp_path / "a", 1.0).rename(tmp_path / "a.nii")
+        second = write_brain_with(tmp_path / "b", 2.0).rename(tmp_path / "b.nii")
+        disk_full_from_call(monkeypatch, "write_volume", 2)
+        out = tmp_path / "new" / "pre"
+        assert main(["preprocess", str(first), str(second), "--out", str(out),
+                     "--target", "8", "8", "8"]) == 2
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err and captured.out == ""
+        assert not (tmp_path / "new").exists()
+
+    def test_output_beside_its_other_spelling_is_data_error(self, tmp_path, capsys):
+        # out/t1.nii.gz was once written beside an earlier run's out/t1.nii
+        src = write_brain_with(tmp_path, 1.0).rename(tmp_path / "t1.nii.gz")
+        out = tmp_path / "pre"
+        out.mkdir()
+        (out / "t1.nii").write_bytes(b"earlier run")
+        assert main(["preprocess", str(src), "--out", str(out), "--target", "8", "8", "8"]) == 2
+        err = capsys.readouterr().err
+        assert f"output {out / 't1.nii.gz'} would be a second file beside {out / 't1.nii'}" in err
+        assert entries(out) == {"t1.nii": b"earlier run"}
+
     def test_no_normalize_copies_a_nan_through(self, tmp_path):
         src = write_brain_with(tmp_path, np.nan)
         out = tmp_path / "pre"
@@ -317,6 +378,16 @@ class TestAugment:
         captured = capsys.readouterr()
         assert str(src) in captured.err and "Traceback" not in captured.err
         assert captured.out == "" and src.read_bytes() == before
+
+    def test_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # the output was once left in place, whole or in part, when its write failed
+        src = write_brain_with(tmp_path, 1.0)
+        before = entries(tmp_path)
+        disk_full_from_call(monkeypatch, "write_volume", 1)
+        assert main(["augment", str(src), "--seed", "3", "--out", str(tmp_path / "aug.nii")]) == 2
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err and captured.out == ""
+        assert entries(tmp_path) == before
 
     def test_stdout_golden_bytes(self, tmp_path, capsys):
         src = tmp_path / "lab.nii"
@@ -489,6 +560,100 @@ class TestFuse:
         assert str(out / "case_000.nii") in captured.err
         assert {p: p.read_bytes() for d in method_dirs for p in d.iterdir()} == before
 
+    def test_int64_labels_fuse_and_evaluate_as_uint8_ones(self, phantom_dirs, tmp_path):
+        # a label map saved straight from np.argmax is int64 (datatype 1024);
+        # the reader once refused it as an unsupported datatype
+        method_dirs, gt_dir = phantom_dirs
+        wide_dirs = []
+        for d in [*method_dirs, gt_dir]:
+            wide_dirs.append(tmp_path / f"wide_{d.name}")
+            wide_dirs[-1].mkdir()
+            for path in d.iterdir():
+                grid = read_volume(path)[1]
+                grid = VoxelGrid(grid.values.astype(np.int64), grid.spacing, grid.affine)
+                write_volume(wide_dirs[-1] / path.name, NiftiHeader.for_grid(grid, 1024), grid)
+        for tag, dirs in (("narrow", [*method_dirs, gt_dir]), ("wide", wide_dirs)):
+            fused, scored = tmp_path / f"fused_{tag}", tmp_path / f"eval_{tag}"
+            assert main(["fuse", *map(str, dirs[:-1]), "--out", str(fused)]) == 0
+            assert main(["evaluate", "--pred", str(dirs[0]), "--gt", str(dirs[-1]),
+                         "--out", str(scored)]) == 0
+        assert entries(tmp_path / "fused_wide") == entries(tmp_path / "fused_narrow")
+        assert entries(tmp_path / "eval_wide") == entries(tmp_path / "eval_narrow")
+
+    def test_uint16_label_above_255_is_data_error(self, phantom_dirs, tmp_path, capsys):
+        # a 300 must be refused by the file that holds it, not wrapped to 44 by the uint8 cast
+        method_dirs, _ = phantom_dirs
+        victim = method_dirs[1] / "case_001.nii.gz"
+        grid = read_volume(victim)[1]
+        values = grid.values.astype(np.uint16)
+        values[0, 0, 0] = 300
+        grid = VoxelGrid(values, grid.spacing, grid.affine)
+        write_volume(victim, NiftiHeader.for_grid(grid, 512), grid)
+        out = tmp_path / "fused"
+        assert main(["fuse", *map(str, method_dirs), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"case case_001: {victim}: labels outside {{0,1,2,4}}: [300]" in err
+        assert not out.exists()
+
+    @staticmethod
+    def second_case_fails(tmp_path) -> list[Path]:
+        """Two method directories of cases a and b, where one b holds a label 3."""
+        method_dirs = [tmp_path / "m0", tmp_path / "m1"]
+        truth = nested_label_phantom(dims=(16, 16, 16), wt_radius=6, tc_radius=4, et_radius=2.5)
+        for i, d in enumerate(method_dirs):
+            d.mkdir()
+            write_labels(d / "a.nii.gz", truth)
+            labels = truth.labels.copy()
+            if i:
+                labels[8, 8, 8] = 3
+            grid = VoxelGrid(labels)
+            write_volume(d / "b.nii.gz", NiftiHeader.for_grid(grid, DT_UINT8), grid)
+        return method_dirs
+
+    def test_failing_case_leaves_no_new_output_directory(self, tmp_path, capsys):
+        # a.nii.gz was once left in the --out that the run had created
+        method_dirs = self.second_case_fails(tmp_path)
+        out = tmp_path / "new" / "fused"
+        assert main(["fuse", *map(str, method_dirs), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "case b: " in captured.err and "[3]" in captured.err and captured.out == ""
+        assert not (tmp_path / "new").exists()
+
+    def test_failing_case_leaves_an_existing_output_directory_as_it_was(self, tmp_path, capsys):
+        # a.nii.gz of an earlier run was once replaced by this run's, which then failed
+        method_dirs = self.second_case_fails(tmp_path)
+        out = tmp_path / "fused"
+        out.mkdir()
+        write_labels(out / "a.nii.gz", LabelVolume(np.zeros((16, 16, 16), np.uint8)))
+        before = entries(out)
+        assert main(["fuse", *map(str, method_dirs), "--out", str(out)]) == 2
+        assert "case b: " in capsys.readouterr().err
+        assert entries(out) == before
+
+    def test_output_that_is_a_directory_leaves_earlier_outputs(self, tmp_path, capsys):
+        # a.nii.gz of an earlier run was once replaced before b.nii.gz,
+        # a directory, failed to be written
+        method_dirs = self.second_case_fails(tmp_path)
+        (method_dirs[1] / "b.nii.gz").unlink()
+        write_labels(method_dirs[1] / "b.nii.gz", read_labels(method_dirs[0] / "b.nii.gz"))
+        out = tmp_path / "fused"
+        (out / "b.nii.gz").mkdir(parents=True)
+        write_labels(out / "a.nii.gz", LabelVolume(np.zeros((16, 16, 16), np.uint8)))
+        before = entries(out)
+        assert main(["fuse", *map(str, method_dirs), "--out", str(out)]) == 2
+        assert f"output {out / 'b.nii.gz'} is a directory" in capsys.readouterr().err
+        assert entries(out) == before
+
+    def test_rerun_replaces_earlier_outputs(self, phantom_dirs, tmp_path):
+        method_dirs, _ = phantom_dirs
+        first, out = tmp_path / "first", tmp_path / "out"
+        assert main(["fuse", *map(str, method_dirs), "--out", str(first)]) == 0
+        out.mkdir()
+        for name in ("case_000.nii.gz", "case_001.nii.gz"):
+            write_labels(out / name, LabelVolume(np.zeros((16, 16, 16), np.uint8)))
+        assert main(["fuse", *map(str, method_dirs), "--out", str(out)]) == 0
+        assert entries(out) == entries(first)
+
     def test_deterministic_outputs(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs
         out1, out2 = tmp_path / "f1", tmp_path / "f2"
@@ -612,6 +777,33 @@ class TestEvaluateAndReport:
         assert code == 2 and captured.out == ""
         assert str(manifest) in captured.err and "Traceback" not in captured.err
         assert manifest.read_bytes() == before and not (out / "report.json").exists()
+
+    def test_evaluate_failed_write_leaves_no_output(self, phantom_dirs, tmp_path, capsys,
+                                                    monkeypatch):
+        # metrics.csv was once left in --out when writing report.json failed
+        method_dirs, gt_dir = phantom_dirs
+        disk_full_from_call(monkeypatch, "write_json", 1)
+        out = tmp_path / "eval"
+        assert main(["evaluate", "--pred", str(method_dirs[0]), "--gt", str(gt_dir),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err and captured.out == ""
+        assert not out.exists()
+
+    def test_report_failed_write_leaves_no_output(self, tmp_path, capsys, monkeypatch):
+        # ranking.json was once left in --out when its write failed
+        csv = tmp_path / "m.csv"
+        csv.write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+                       "a,90.00,90.00,90.00,1.0000,1.0000,1.0000\n")
+        disk_full_from_call(monkeypatch, "write_json", 1)
+        out = tmp_path / "r"
+        out.mkdir()
+        (out / "aggregates.txt").write_text("earlier run\n")
+        before = entries(out)
+        assert main(["report", str(csv), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert "No space left on device" in captured.err and captured.out == ""
+        assert entries(out) == before
 
     def test_no_matched_case_leaves_no_output_directory(self, tmp_path, capsys):
         (tmp_path / "pred").mkdir()

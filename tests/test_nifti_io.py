@@ -42,7 +42,8 @@ from gbmseg.nifti_io import (
 )
 from gbmseg.volume import VoxelGrid
 
-_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64}
+_NUMPY_OF = {DT_UINT8: np.uint8, DT_FLOAT32: np.float32, DT_FLOAT64: np.float64}
+_BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 256: 8, 512: 16, 768: 32, 1024: 64, 1280: 64}
 
 
 def fixture_header(
@@ -127,6 +128,19 @@ class TestReadVolume:
         path = fixture_file(tmp_path, "rgb.nii", fixture_header(datatype=128), data)
         with pytest.raises(UnsupportedDatatype):
             read_volume(path)
+
+    @pytest.mark.parametrize("code, dtype", [(256, np.int8), (512, np.uint16), (768, np.uint32),
+                                             (1024, np.int64), (1280, np.uint64)])
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    def test_integer_datatypes_read_exactly(self, tmp_path, code, dtype, byteorder):
+        # these five were once refused as UnsupportedDatatype
+        info = np.iinfo(dtype)
+        data = np.array([info.min, 0, 1, 2, 4, info.max, 7, 3], dtype).reshape((2, 2, 2), order="F")
+        header = fixture_header(datatype=code, byteorder=byteorder)
+        path = fixture_file(tmp_path, "x.nii", header, data, byteorder=byteorder)
+        header, grid = read_volume(path)
+        assert header.datatype_code == code and grid.values.dtype == dtype
+        assert np.array_equal(grid.values, data)
 
     def test_truncated_data_section(self, tmp_path):
         path = tmp_path / "short.nii"
@@ -354,6 +368,23 @@ class TestWriteVolume:
         _, back = read_volume(path)
         assert back.values.dtype == np.uint8
         assert np.array_equal(back.values, labels)
+
+    @pytest.mark.parametrize("suffix", [".nii", ".nii.gz"])
+    @pytest.mark.parametrize("code", [DT_UINT8, DT_FLOAT32, DT_FLOAT64])
+    def test_memory_order_does_not_change_the_bytes(self, tmp_path, suffix, code):
+        values = np.random.default_rng(6).random((6, 7, 8)) * 5
+        native = values.astype(np.dtype(_NUMPY_OF[code]))
+        layouts = {"c_cast": values, "f_cast": np.asfortranarray(values),
+                   "c": native, "f": np.asfortranarray(native),
+                   "strided": np.asfortranarray(np.repeat(native, 2, axis=1))[:, ::2, :]}
+        blobs = {}
+        for name, array in layouts.items():
+            grid = VoxelGrid(array)
+            path = tmp_path / f"{name}{suffix}"
+            write_volume(path, NiftiHeader.for_grid(grid, code), grid)
+            blobs[name] = path.read_bytes()
+        assert len(set(blobs.values())) == 1
+        assert np.array_equal(read_volume(tmp_path / f"f{suffix}")[1].values, native)
 
     def test_identical_inputs_give_identical_gzip_bytes(self, tmp_path):
         grid = VoxelGrid(np.ones((3, 3, 3), dtype=np.float32))
