@@ -1,10 +1,13 @@
 """Single-file NIfTI-1 reader and writer for 3D volumes.
 
 Implements the 348-byte NIfTI-1 header directly (no external imaging
-dependency) for the integer datatypes, float32 and float64.  Files written
-here are always little-endian single-file volumes (magic ``n+1``) with the
-data section at byte offset 352; gzip compression is applied when the output
-path ends in ``.gz`` and detected on read from the 0x1F 0x8B signature.
+dependency) for the integer datatypes, float32 and float64.  The reader takes
+the data from ``vox_offset``, but never before byte 352, and applies the
+``scl_slope``/``scl_inter`` scaling itself, so the header it returns describes
+the grid it returns.  Files written here are always little-endian single-file
+volumes (magic ``n+1``) with slope 1, intercept 0 and the data section at byte
+offset 352; gzip compression is applied when the output path ends in ``.gz``
+and detected on read from the 0x1F 0x8B signature.
 
 Field offsets below follow the official nifti1.h layout.
 """
@@ -54,23 +57,21 @@ class NiftiHeader:
     """The geometry and encoding fields this toolkit models.
 
     ``affine`` is the voxel-index -> world-mm map chosen by the
-    sform > qform > pixdim precedence rule at parse time.
+    sform > qform > pixdim precedence rule at parse time.  A header from
+    :func:`read_volume` describes the grid it returns: a scaled file's
+    ``datatype_code`` is ``DT_FLOAT64``, the dtype of its scaled values.
     """
 
     dims: tuple[int, int, int]
     datatype_code: int
     spacing: tuple[float, float, float]
     affine: np.ndarray
-    scale_slope: float = 1.0
-    scale_intercept: float = 0.0
 
     def __post_init__(self):
         if len(self.dims) != 3 or any(d < 1 for d in self.dims):
             raise ValueError(f"dims must be 3 positive integers, got {self.dims}")
         if self.datatype_code not in _DTYPES:
             raise UnsupportedDatatype(f"datatype code {self.datatype_code}")
-        if not (math.isfinite(self.scale_slope) and math.isfinite(self.scale_intercept)):
-            raise ValueError("scl_slope and scl_inter must be finite")
         spacing, affine = checked_geometry(self.spacing, self.affine)
         object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
         object.__setattr__(self, "spacing", spacing)
@@ -79,14 +80,6 @@ class NiftiHeader:
     @classmethod
     def for_grid(cls, grid: VoxelGrid, datatype_code: int = DT_FLOAT32) -> "NiftiHeader":
         return cls(grid.dims, datatype_code, grid.spacing, grid.affine)
-
-
-def _rescales(header: NiftiHeader) -> bool:
-    """Whether :func:`read_volume` rescales the payload stored under this
-    header: ``scl_slope`` 0 means "no scaling" in NIfTI-1, and the identity
-    pair (1, 0) is skipped so unscaled payloads keep their on-disk dtype."""
-    slope, inter = header.scale_slope, header.scale_intercept
-    return slope != 0.0 and not (slope == 1.0 and inter == 0.0)
 
 
 def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
@@ -100,8 +93,9 @@ def _quaternion_rotation(b: float, c: float, d: float) -> np.ndarray:
     )
 
 
-def _parse_header(raw: bytes) -> tuple[NiftiHeader, str, int]:
-    """Parse 348+ header bytes; returns (header, byteorder char, vox_offset)."""
+def _parse_header(raw: bytes) -> tuple[NiftiHeader, np.dtype, int, tuple[float, float] | None]:
+    """Parse 348+ header bytes; returns (header of the grid read, payload dtype
+    in the file's byte order, data offset, (slope, intercept) to apply or None)."""
     if len(raw) < HEADER_SIZE:
         raise NotNifti(f"header needs {HEADER_SIZE} bytes, got {len(raw)}")
     # Byte order is detected from sizeof_hdr: it must read 348 in the
@@ -138,8 +132,13 @@ def _parse_header(raw: bytes) -> tuple[NiftiHeader, str, int]:
 
     if datatype not in _DTYPES:
         raise UnsupportedDatatype(f"datatype code {datatype}")
-    if not math.isfinite(vox_offset):
-        raise NotNifti(f"malformed header: vox_offset is {vox_offset}")
+    for name, value in (("vox_offset", vox_offset), ("scl_slope", scl_slope),
+                        ("scl_inter", scl_inter)):
+        if not math.isfinite(value):
+            raise NotNifti(f"malformed header: {name} is {value}")
+    # scl_slope 0 means "no scaling" in NIfTI-1, and the identity pair (1, 0)
+    # is skipped so unscaled payloads keep their on-disk dtype
+    unscaled = scl_slope == 0.0 or (scl_slope, scl_inter) == (1.0, 0.0)
 
     # Tolerate sloppy pixdims (negative or zero) the way mainstream readers
     # do; our own writer always emits positive values.
@@ -159,24 +158,19 @@ def _parse_header(raw: bytes) -> tuple[NiftiHeader, str, int]:
         affine[:3, :3] = np.diag(spacing)
 
     try:
-        header = NiftiHeader(
-            dims=dims,
-            datatype_code=datatype,
-            spacing=spacing,
-            affine=affine,
-            scale_slope=float(scl_slope),
-            scale_intercept=float(scl_inter),
-        )
+        header = NiftiHeader(dims, datatype if unscaled else DT_FLOAT64, spacing, affine)
     except ValueError as err:
         raise NotNifti(f"malformed header: {err}") from err
-    offset = int(vox_offset) if vox_offset >= HEADER_SIZE else DATA_OFFSET
-    return header, bo, offset
+    # a smaller offset would read the 4-byte extension flag as data
+    offset = max(int(vox_offset), DATA_OFFSET)
+    dt = np.dtype(_DTYPES[datatype]).newbyteorder(bo)
+    return header, dt, offset, None if unscaled else (scl_slope, scl_inter)
 
 
 def validate_header(raw: bytes) -> NiftiHeader:
-    """Parse a raw NIfTI-1 header, detecting byte order from sizeof_hdr."""
-    header, _, _ = _parse_header(raw)
-    return header
+    """Parse a raw NIfTI-1 header, detecting byte order from sizeof_hdr, into
+    the header :func:`read_volume` returns for it."""
+    return _parse_header(raw)[0]
 
 
 def _read_bytes(path: Path) -> bytes:
@@ -192,14 +186,16 @@ def _read_bytes(path: Path) -> bytes:
 def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
     """Read a single-file NIfTI-1 volume, optionally gzip-compressed.
 
-    Data are decoded in the file's byte order, then the slope/intercept
-    scaling is applied unless ``scl_slope`` is 0 or the pair is (1, 0).
+    Data are decoded in the file's byte order from ``vox_offset``, or from
+    byte 352 if that is later, then the slope/intercept scaling is applied
+    unless ``scl_slope`` is 0 or the pair is (1, 0).  Scaled values are
+    float64, and the returned header says so: it describes the returned
+    grid, so ``write_volume(dst, *read_volume(src))`` copies the values.
     """
     path = Path(path)
     raw = _read_bytes(path)
-    header, bo, offset = _parse_header(raw)
+    header, dt, offset, scaling = _parse_header(raw)
 
-    dt = np.dtype(_DTYPES[header.datatype_code]).newbyteorder(bo)
     count = header.dims[0] * header.dims[1] * header.dims[2]
     nbytes = count * dt.itemsize
     if len(raw) < offset + nbytes:
@@ -209,8 +205,9 @@ def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
     flat = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
     values = flat.reshape(header.dims, order="F").astype(dt.newbyteorder("="))
 
-    if _rescales(header):
-        values = values.astype(np.float64) * header.scale_slope + header.scale_intercept
+    if scaling is not None:
+        slope, inter = scaling
+        values = values.astype(np.float64) * slope + inter
 
     grid = VoxelGrid(values, spacing=header.spacing, affine=header.affine)
     return header, grid
@@ -224,7 +221,7 @@ def _pack_header(header: NiftiHeader, spacing: np.ndarray, affine: np.ndarray) -
     bitpix = np.dtype(_DTYPES[header.datatype_code]).itemsize * 8
     struct.pack_into("<2h", buf, 70, header.datatype_code, bitpix)
     struct.pack_into("<8f", buf, 76, 1.0, *spacing, 1.0, 1.0, 1.0, 1.0)
-    struct.pack_into("<3f", buf, 108, float(DATA_OFFSET), header.scale_slope, header.scale_intercept)
+    struct.pack_into("<3f", buf, 108, float(DATA_OFFSET), 1.0, 0.0)
     struct.pack_into("<B", buf, 123, 2)  # xyzt_units: millimetres
     buf[148 : 148 + 6] = b"gbmseg"
     # Geometry goes out through the sform only; qform_code stays 0.
@@ -237,23 +234,18 @@ def _pack_header(header: NiftiHeader, spacing: np.ndarray, affine: np.ndarray) -
 def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     """Write a grid as a little-endian single-file NIfTI-1 volume.
 
-    The payload is cast to the header's datatype; float32/float64 payloads
-    round-trip bit-exactly through :func:`read_volume`.  A ``.gz`` suffix
-    selects gzip output (mtime pinned to 0 so identical inputs produce
-    byte-identical files).  A header whose scaling the reader would apply
-    is refused, since the grid holds values already scaled, and so are
-    geometry the float32 header fields cannot hold and dims above 32767.
+    The payload is cast to the header's datatype and stored unscaled (slope
+    1, intercept 0) at byte 352; float32/float64 payloads round-trip
+    bit-exactly through :func:`read_volume`.  A ``.gz`` suffix selects gzip
+    output (mtime pinned to 0 so identical inputs produce byte-identical
+    files).  Geometry the float32 header fields cannot hold and dims above
+    32767 are refused.
     """
     path = Path(path)
     if header.dims != grid.dims:
         raise DimensionMismatch(f"header dims {header.dims} != grid dims {grid.dims}")
     if max(header.dims) > MAX_DIM:
         raise IoFailure(f"cannot write {path}: dims {header.dims} exceed {MAX_DIM}")
-    if _rescales(header):
-        raise IoFailure(
-            f"cannot write {path}: scl_slope {header.scale_slope} and scl_inter "
-            f"{header.scale_intercept} would rescale the values again on reading"
-        )
     # The header stores geometry as float32; what the reader gets back must
     # pass the same geometry rule.
     with np.errstate(over="ignore", under="ignore"):

@@ -31,5 +31,5 @@ def et_threshold_relabel(
     n_et = count_label(labels, 4)
     if n_et == 0 or n_et >= et_threshold:
         return labels
-    relabeled = np.where(labels.labels == 4, 1, labels.labels).astype(np.uint8)
+    relabeled = np.where(labels.labels == 4, 1, labels.labels)
     return LabelVolume(relabeled, labels.spacing, labels.affine)

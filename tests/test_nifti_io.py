@@ -44,6 +44,8 @@ from gbmseg.volume import VoxelGrid
 
 _NUMPY_OF = {DT_UINT8: np.uint8, DT_FLOAT32: np.float32, DT_FLOAT64: np.float64}
 _BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 256: 8, 512: 16, 768: 32, 1024: 64, 1280: 64}
+_DTYPE_CHAR = {2: "u1", 4: "i2", 8: "i4", 16: "f4", 64: "f8",
+               256: "i1", 512: "u2", 768: "u4", 1024: "i8", 1280: "u8"}
 
 
 def fixture_header(
@@ -182,17 +184,28 @@ class TestReadVolume:
         with pytest.raises(DimensionError):
             read_volume(path)
 
-    def test_scaling_applied_when_slope_nontrivial(self, tmp_path):
+    @pytest.mark.parametrize("byteorder", ["<", ">"])
+    def test_scaling_applied_when_slope_nontrivial(self, tmp_path, byteorder):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
-        path = fixture_file(tmp_path, "sc.nii", fixture_header(slope=2.0, inter=1.0), data)
-        _, grid = read_volume(path)
+        header = fixture_header(slope=2.0, inter=1.0, byteorder=byteorder)
+        path = fixture_file(tmp_path, "sc.nii", header, data, byteorder=byteorder)
+        header, grid = read_volume(path)
         assert np.allclose(grid.values.ravel(order="F"), np.arange(8) * 2.0 + 1.0)
+        assert header.datatype_code == DT_FLOAT64 and grid.values.dtype == np.float64
 
     def test_zero_slope_means_no_scaling(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
         path = fixture_file(tmp_path, "ns.nii", fixture_header(slope=0.0, inter=9.0), data)
         _, grid = read_volume(path)
         assert np.array_equal(grid.values.ravel(order="F"), np.arange(8, dtype=np.float32))
+
+    @pytest.mark.parametrize("vox_offset", [348.0, 350.0, 351.0])
+    def test_offset_inside_the_extension_flag_reads_from_352(self, tmp_path, vox_offset):
+        # bytes 348-351 are the extension flag, never data
+        data = np.arange(1, 9, dtype=np.uint8).reshape((2, 2, 2), order="F")
+        header = fixture_header(datatype=DT_UINT8, vox_offset=vox_offset)
+        _, grid = read_volume(fixture_file(tmp_path, "x.nii", header, data))
+        assert np.array_equal(grid.values, data)
 
     def test_two_file_magic_rejected(self, tmp_path):
         data = np.zeros((2, 2, 2), dtype=np.float32)
@@ -248,6 +261,56 @@ class TestFuzzedHeaderFields:
         assert np.isfinite(grid.affine).all()
 
 
+_SCALINGS = (st.tuples(st.just(0.0), st.floats(-100, 100, width=32))
+             | st.just((1.0, 0.0))
+             | st.tuples(st.floats(-100, 100, width=32), st.floats(-100, 100, width=32)))
+
+
+class TestReadProperty:
+    @given(
+        code=st.sampled_from(sorted(_DTYPE_CHAR)),
+        byteorder=st.sampled_from("<>"),
+        dims=st.tuples(*[st.integers(1, 4)] * 3),
+        vox_offset=st.integers(0, 400) | st.integers(346, 354),
+        scaling=_SCALINGS,
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_values_match_an_independent_decode(self, tmp_path_factory, code, byteorder, dims,
+                                                vox_offset, scaling, seed):
+        dtype = np.dtype(_DTYPE_CHAR[code])
+        rng = np.random.default_rng(seed)
+        if dtype.kind == "f":
+            data = (rng.standard_normal(dims) * 1000).astype(dtype)
+        else:
+            info = np.iinfo(dtype)
+            data = rng.integers(info.min, info.max, size=dims, dtype=dtype, endpoint=True)
+        slope, inter = scaling
+        header = fixture_header(dims=dims, datatype=code, byteorder=byteorder,
+                                vox_offset=float(vox_offset), slope=slope, inter=inter)
+        # the data start at vox_offset, and never before byte 352
+        padding = b"\x00" * (max(vox_offset, 352) - 348)
+        src = tmp_path_factory.getbasetemp() / "drawn.nii"
+        src.write_bytes(header + padding + data.astype(dtype.newbyteorder(byteorder))
+                        .tobytes(order="F"))
+
+        if slope == 0.0 or (slope, inter) == (1.0, 0.0):
+            expected, expected_code = data, code
+        else:
+            expected, expected_code = data.astype(np.float64) * slope + inter, DT_FLOAT64
+        read_header, grid = read_volume(src)
+        assert read_header.datatype_code == expected_code
+        assert grid.values.dtype == expected.dtype
+        assert np.array_equal(grid.values, expected)
+
+        dst = tmp_path_factory.getbasetemp() / "copy.nii"
+        write_volume(dst, read_header, grid)
+        copy_header, copy = read_volume(dst)
+        assert copy_header.datatype_code == expected_code
+        assert copy.values.dtype == expected.dtype
+        assert np.array_equal(copy.values, expected)
+
+
 class TestValidateHeader:
     def test_little_endian_parsed_natively(self):
         header = validate_header(fixture_header(spacing=(1.0, 2.0, 3.0)))
@@ -268,8 +331,6 @@ class TestValidateHeader:
         assert native.dims == swapped.dims
         assert native.spacing == swapped.spacing
         assert native.datatype_code == swapped.datatype_code
-        assert native.scale_slope == swapped.scale_slope
-        assert native.scale_intercept == swapped.scale_intercept
         assert np.array_equal(native.affine, swapped.affine)
 
     def test_all_zero_bytes_rejected(self):
@@ -418,18 +479,17 @@ class TestWriteVolume:
             write_volume(path, NiftiHeader.for_grid(grid, DT_UINT8), grid)
         assert not path.exists()
 
-    def test_scaled_header_is_not_written_back(self, tmp_path):
-        # the reader has already applied slope 2 / intercept 1; writing the
-        # scaled values under the same header would scale them twice
+    def test_scaled_volume_is_copied_as_float64(self, tmp_path):
+        # the reader applies slope 0.5 / intercept 1, so the halves it returns
+        # must not be written back under the file's int16 code
         data = np.arange(8, dtype=np.int16).reshape((2, 2, 2), order="F")
-        src = fixture_file(tmp_path, "scaled.nii", fixture_header(datatype=DT_INT16, slope=2.0,
+        src = fixture_file(tmp_path, "scaled.nii", fixture_header(datatype=DT_INT16, slope=0.5,
                                                                    inter=1.0), data)
-        header, grid = read_volume(src)
-        assert grid.values.ravel(order="F").tolist() == [1, 3, 5, 7, 9, 11, 13, 15]
         dst = tmp_path / "copy.nii"
-        with pytest.raises(GbmsegError):
-            write_volume(dst, header, grid)
-        assert not dst.exists()
+        write_volume(dst, *read_volume(src))
+        header, back = read_volume(dst)
+        assert header.datatype_code == DT_FLOAT64 and back.values.dtype == np.float64
+        assert np.array_equal(back.values, data * 0.5 + 1.0)
 
     @pytest.mark.parametrize("slope,inter", [(1.0, 0.0), (0.0, 9.0)], ids=["identity", "zero_slope"])
     def test_unscaled_header_round_trips(self, tmp_path, slope, inter):
