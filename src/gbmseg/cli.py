@@ -1,7 +1,9 @@
 """Command-line toolkit: preprocess, augment, fuse, evaluate, report.
 
 Exit codes: 0 success, 1 usage error, 2 data error.  All outputs are
-deterministic given identical inputs and flags.  A command that exits
+deterministic given identical inputs and flags.  ``fuse`` and ``evaluate``
+match case files across directories by one rule, ``harness.match_cases``,
+and ``fuse`` names each output ``<case_id>.nii.gz``.  A command that exits
 non-zero leaves no file or directory it created, and an existing ``--out``
 keeps its old contents.
 """
@@ -24,9 +26,9 @@ from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     aggregate,
     build_report,
-    case_files,
     error_prefix,
     evaluate_dataset,
+    match_cases,
     rank_all,
     read_labels,
     read_metrics_csv,
@@ -46,8 +48,6 @@ from .preprocess import (
     zscore_normalize,
 )
 from .volume import LabelVolume, require_same_geometry
-
-logger = logging.getLogger(__name__)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -154,19 +154,15 @@ def _cmd_fuse(args) -> None:
     out_dir = Path(args.out)
     if args.method == "staple" and len(method_dirs) < 2:
         raise TooFewRaters(f"STAPLE needs >= 2 method directories, got {len(method_dirs)}")
-    per_dir = [case_files(d) for d in method_dirs]
-    common = sorted(set.intersection(*(set(d) for d in per_dir)))
-    for d, cases in zip(method_dirs, per_dir):
-        for missing in sorted(set(cases) - set(common)):
-            logger.warning("case %s only present in %s; skipped", missing, d)
-    if not common:
+    cases = match_cases(method_dirs)
+    if not cases:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
-    inputs = [d[c] for d in per_dir for c in common]
-    with _output_plan(out_dir, [f"{c}.nii.gz" for c in common], inputs) as staging:
-        for case_id in common:
+    inputs = [path for _, paths in cases for path in paths]
+    with _output_plan(out_dir, [f"{c}.nii.gz" for c, _ in cases], inputs) as staging:
+        for case_id, paths in cases:
             with error_prefix(f"case {case_id}"):
-                raters = [read_labels(d[case_id]) for d in per_dir]
+                raters = [read_labels(path) for path in paths]
                 if args.method == "vote":
                     fused = majority_vote(raters)
                 elif args.method == "mean":
@@ -175,7 +171,7 @@ def _cmd_fuse(args) -> None:
                     fused = staple_regions(raters, staple_cfg)
                 fused = et_threshold_relabel(fused, args.et_threshold)
                 _write_labels(staging / f"{case_id}.nii.gz", fused)
-    print(f"fused {len(common)} case(s) with method={args.method} to {out_dir}")
+    print(f"fused {len(cases)} case(s) with method={args.method} to {out_dir}")
 
 
 def _cmd_evaluate(args) -> None:
@@ -207,7 +203,8 @@ def _cmd_report(args) -> None:
         summaries, tables = [], []
         for name, path in zip(names, args.csvs):
             cases = read_metrics_csv(path)
-            report = aggregate(cases)
+            with error_prefix(path):
+                report = aggregate(cases)
             summaries.append(summarize_method(name, report))
             tables.append(f"== {name} ==\n{render_aggregate_table(report)}")
         orders = rank_all(summaries)
@@ -261,7 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gt", required=True, help="directory of ground-truth label volumes")
     p.add_argument("--out", required=True, help="output directory for CSV/JSON reports")
     p.add_argument("--manifest", default=None,
-                   help="explicit case_id,pred,gt pairing CSV (overrides matching)")
+                   help="explicit case_id,pred,gt pairing CSV (overrides matching by "
+                        "stem, or by stem cut after its last digit)")
     p.set_defaults(func=_cmd_evaluate)
 
     p = sub.add_parser("report", help="aggregate metric CSVs and rank the methods")

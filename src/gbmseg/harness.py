@@ -1,15 +1,17 @@
 """Batch evaluation harness: case pairing, dataset metrics, aggregate
 statistics, method ranking, and the CSV/JSON/text report formats.
 
-Case pairing rule: prediction and ground-truth files pair by identical
-filename stem (the name minus ``.nii``/``.nii.gz``); files that do not
-match exactly fall back to the unique longest-common-substring partner
-(at least 4 characters), and that substring, stripped of ``_-.``, is the
-case id.  A fallback whose case id repeats one already paired is
-ambiguous, and its ground truth stays free for the files after it.
-Unpaired or ambiguous files are reported as warnings and skipped.  An
-explicit manifest CSV (columns ``case_id,pred,gt``, each case_id on one
-row only) overrides the rule entirely.
+Case matching rule, one for ``fuse`` (method directories) and
+``evaluate`` (prediction and ground-truth directories): a file's stem is
+its name minus ``.nii``/``.nii.gz``.  A stem found in every directory is
+its own case id.  Every other file keys to its stem cut after its last
+digit, or to the whole stem if it has no digit (``BraTS2021_00042_seg``
+keys to ``BraTS2021_00042``); a key found once in every directory is
+matched, and the key is the case id.  A key held by two files of one
+directory, or equal to an id already matched, is ambiguous.  Unmatched
+or ambiguous files are reported as warnings and skipped.  For
+``evaluate``, an explicit manifest CSV (columns ``case_id,pred,gt``,
+each case_id on one row only) overrides the rule entirely.
 
 Report shapes: the per-case CSV has the fixed column set
 ``case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt`` (UTF-8, header
@@ -25,9 +27,9 @@ import csv
 import json
 import logging
 import math
+import re
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields
-from difflib import SequenceMatcher
 from pathlib import Path
 
 import numpy as np
@@ -50,8 +52,6 @@ _STAT_ROWS = (
     ("25quantile", "quantile_25"),
     ("75quantile", "quantile_75"),
 )
-
-_MIN_MATCH_CHARS = 4
 
 
 @dataclass(frozen=True)
@@ -114,50 +114,44 @@ def case_files(directory) -> dict[str, Path]:
     return files
 
 
-def _longest_common_substring(a: str, b: str) -> str:
-    match = SequenceMatcher(None, a, b, autojunk=False).find_longest_match(0, len(a), 0, len(b))
-    return a[match.a : match.a + match.size]
+def _case_key(stem: str) -> str:
+    digits = re.match(r"(?s).*\d", stem)
+    return digits.group() if digits else stem
+
+
+def match_cases(directories) -> list[tuple[str, list[Path]]]:
+    """Match the case files of ``directories``; see module docstring.
+
+    Returns (case_id, [one path per directory]) pairs sorted by case_id.
+    """
+    per_dir = [case_files(d) for d in directories]
+    exact = set.intersection(*(set(files) for files in per_dir))
+    matches = {stem: [files[stem] for files in per_dir] for stem in exact}
+    keyed: dict[str, list[list[Path]]] = {}
+    for i, files in enumerate(per_dir):
+        for stem, path in files.items():
+            if stem not in exact:
+                keyed.setdefault(_case_key(stem), [[] for _ in per_dir])[i].append(path)
+    for key, paths in sorted(keyed.items()):
+        if key not in matches and all(len(p) == 1 for p in paths):
+            matches[key] = [p[0] for p in paths]
+            continue
+        for path in (path for p in paths for path in p):
+            logger.warning("%s: case %s has no unique file in every directory; skipped",
+                           path, key)
+    return sorted(matches.items())
 
 
 def pair_cases(
     pred_dir, gt_dir, manifest=None
 ) -> list[tuple[str, Path, Path]]:
-    """Match prediction files to ground-truth files; see module docstring.
+    """The manifest's pairs, or else ``match_cases([pred_dir, gt_dir])``.
 
     Returns (case_id, pred_path, gt_path) triples sorted by case_id.
     """
     if manifest is not None:
         return _pairs_from_manifest(Path(manifest))
-    preds = case_files(pred_dir)
-    gts = case_files(gt_dir)
-
-    pairs: list[tuple[str, Path, Path]] = []
-    paired_ids: set[str] = set()
-    leftovers: list[str] = []
-    for stem in sorted(preds):
-        if stem in gts:
-            pairs.append((stem, preds[stem], gts[stem]))
-            paired_ids.add(stem)
-        else:
-            leftovers.append(stem)
-
-    free_gts = sorted(set(gts) - paired_ids)
-    for stem in leftovers:
-        common = {g: _longest_common_substring(stem, g) for g in free_gts}
-        best = max((len(c) for c in common.values()), default=0)
-        winners = [g for g, c in common.items() if len(c) == best]
-        case_id = None
-        if best >= _MIN_MATCH_CHARS and len(winners) == 1:
-            case_id = common[winners[0]].strip("_-.") or stem
-        if case_id is None or case_id in paired_ids:
-            logger.warning("prediction %s has no unique ground-truth match; skipped", preds[stem])
-            continue
-        pairs.append((case_id, preds[stem], gts[winners[0]]))
-        paired_ids.add(case_id)
-        free_gts.remove(winners[0])
-    for g in free_gts:
-        logger.warning("ground truth %s has no prediction; skipped", gts[g])
-    return sorted(pairs)
+    return [(case_id, pred, gt) for case_id, (pred, gt) in match_cases([pred_dir, gt_dir])]
 
 
 @contextmanager

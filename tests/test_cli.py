@@ -440,6 +440,18 @@ class TestFuse:
         assert sorted(p.name for p in (tmp_path / "staple").iterdir()) == [
             "case_000.nii.gz", "case_001.nii.gz"]
 
+    def test_fuses_stems_that_differ_after_the_case_number(self, tmp_path, capsys):
+        # two frameworks need not name their files alike; fuse once found no common stem
+        truth = nested_label_phantom(dims=(8, 8, 8), wt_radius=3, tc_radius=2, et_radius=1)
+        deepseg, nnunet, out = tmp_path / "deepseg", tmp_path / "nnunet", tmp_path / "out"
+        deepseg.mkdir(), nnunet.mkdir()
+        write_labels(deepseg / "BraTS2021_00042.nii.gz", truth)
+        write_labels(nnunet / "BraTS2021_00042_pred.nii.gz", truth)
+        assert main(["fuse", str(deepseg), str(nnunet), "--out", str(out),
+                     "--et-threshold", "0"]) == 0
+        assert [p.name for p in out.iterdir()] == ["BraTS2021_00042.nii.gz"]
+        assert np.array_equal(read_labels(out / "BraTS2021_00042.nii.gz").labels, truth.labels)
+
     def test_single_method_dir_with_staple_is_data_error(self, phantom_dirs, tmp_path):
         method_dirs, _ = phantom_dirs
         code = main(["fuse", str(method_dirs[0]), "--method", "staple",
@@ -922,6 +934,18 @@ class TestEvaluateAndReport:
         assert main(["report", str(csv), "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert str(csv) in err and "line 4" in err and "line 2" in err and "'a'" in err
+        assert not out.exists()
+
+    def test_report_names_the_csv_with_no_rows(self, tmp_path, capsys):
+        # once only "no cases to aggregate", whichever of the CSVs was empty
+        header = "case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+        one, empty = tmp_path / "one.csv", tmp_path / "empty.csv"
+        one.write_text(header + "a,90.00,90.00,90.00,1.0000,1.0000,1.0000\n")
+        empty.write_text(header)
+        out = tmp_path / "o"
+        assert main(["report", str(one), str(empty), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{empty}: no cases to aggregate" in err and str(one) not in err
         assert not out.exists()
 
     def test_report_name_count_mismatch_is_data_error(self, tmp_path):

@@ -1,9 +1,12 @@
 import json
 import logging
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from gbmseg.cli import main
 from gbmseg.errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, UnreadableVolume
@@ -16,6 +19,7 @@ from gbmseg.harness import (
     aggregate,
     build_report,
     evaluate_dataset,
+    match_cases,
     pair_cases,
     rank_all,
     rank_methods,
@@ -266,6 +270,18 @@ class TestPairCases:
         assert any("BraTS_0001_seg" in m for m in messages)
         assert any("BraTS_0001x" in m for m in messages)
 
+    def test_orphans_sharing_digits_with_a_case_are_skipped(self, tmp_path):
+        # The longest common substring once paired 00111_seg with truth 00112
+        # as "BraTS2021_0011", and 01500_seg with truth 00150 as "BraTS2021_001".
+        pred, gt = tmp_path / "pred", tmp_path / "gt"
+        pred.mkdir(), gt.mkdir()
+        for stem in ("BraTS2021_00111_seg", "BraTS2021_00112_seg", "BraTS2021_01500_seg"):
+            (pred / f"{stem}.nii.gz").touch()
+        for stem in ("BraTS2021_00112", "BraTS2021_00150"):
+            (gt / f"{stem}.nii.gz").touch()
+        assert pair_cases(pred, gt) == [("BraTS2021_00112", pred / "BraTS2021_00112_seg.nii.gz",
+                                         gt / "BraTS2021_00112.nii.gz")]
+
     def test_manifest_override(self, tmp_path):
         pred, gt = tmp_path / "p", tmp_path / "g"
         pred.mkdir(), gt.mkdir()
@@ -285,6 +301,50 @@ class TestPairCases:
                             "case9,p/c.nii.gz,g/c.nii.gz\n")
         with pytest.raises(IoFailure, match=r"manifest\.csv: line 4: .*case9.*line 2"):
             pair_cases(tmp_path, tmp_path, manifest=manifest)
+
+
+def _key(stem: str) -> str:
+    """The stem cut after its last digit, or the whole stem without a digit."""
+    return stem[: max((i + 1 for i, ch in enumerate(stem) if ch.isdigit()), default=len(stem))]
+
+
+# 25 stems from 5 bases, so that stems and keys often repeat across directories
+_stems = st.builds(str.__add__, st.sampled_from(["c", "c1", "c42", "1", "c007"]),
+                   st.sampled_from(["", "_seg", "_pred", "x", "1"]))
+
+
+def _expected_ids(layout) -> list[str]:
+    """The case ids of the matching rule, worked out from the stems alone."""
+    exact = set.intersection(*map(set, layout))
+    keys = [[_key(s) for s in stems if s not in exact] for stems in layout]
+    once = {k for k in keys[0] if all(ks.count(k) == 1 for ks in keys)} - exact
+    return sorted(exact | once)
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.lists(_stems, max_size=8, unique=True), min_size=1, max_size=3))
+def test_match_cases_properties(caplog, layout):
+    caplog.clear()
+    with tempfile.TemporaryDirectory() as root, caplog.at_level(logging.WARNING):
+        dirs = [Path(root) / f"d{i}" for i in range(len(layout))]
+        for d, stems in zip(dirs, layout):
+            d.mkdir()
+            for stem in stems:
+                (d / f"{stem}.nii.gz").touch()
+        matches = match_cases(dirs)
+        reversed_ids = [case_id for case_id, _ in match_cases(dirs[::-1])]
+    ids = [case_id for case_id, _ in matches]
+    used = [path for _, paths in matches for path in paths]
+    assert ids == sorted(set(ids)) == sorted(reversed_ids) == _expected_ids(layout)
+    assert len(set(used)) == len(used)
+    for case_id, paths in matches:
+        assert [p.parent for p in paths] == dirs
+        stems = {p.name[: -len(".nii.gz")] for p in paths}
+        assert stems == {case_id} or {_key(s) for s in stems} == {case_id}
+    messages = [r.getMessage() for r in caplog.records]
+    skipped = {d / f"{stem}.nii.gz" for d, stems in zip(dirs, layout) for stem in stems} - set(used)
+    assert all(any(str(path) in m for m in messages) for path in skipped)
 
 
 class TestEvaluateDataset:
