@@ -127,15 +127,18 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     require_same_geometry(*raters)
     box = union_box([r.labels for r in raters])
     inside = [r.labels[box] for r in raters]
-    counts = np.zeros((len(BRATS_LABELS),) + inside[0].shape,
-                      dtype=np.min_scalar_type(len(raters)), order="F")
-    for labels in inside:
-        for idx, label in enumerate(BRATS_LABELS):
-            counts[idx] += labels == label
-    # argmax returns the first maximum; BRATS_LABELS is ascending, so ties
-    # resolve to the smallest label.
     winner = np.zeros_like(raters[0].labels)
-    winner[box] = np.asarray(BRATS_LABELS, dtype=np.uint8)[counts.argmax(axis=0)]
+    won = winner[box]
+    best = np.zeros_like(inside[0], dtype=np.min_scalar_type(len(raters)))
+    count = np.empty_like(best)
+    # BRATS_LABELS is ascending and a label must beat the best count so far,
+    # so ties resolve to the smallest label.
+    for label in BRATS_LABELS:
+        count.fill(0)
+        for labels in inside:
+            count += labels == label
+        np.copyto(won, label, where=count > best)
+        np.maximum(best, count, out=best)
     return LabelVolume(winner, raters[0].spacing, raters[0].affine)
 
 

@@ -6,15 +6,20 @@ the data from ``vox_offset``, but never before byte 352, and applies the
 ``scl_slope``/``scl_inter`` scaling itself, so the header it returns describes
 the grid it returns.  Files written here are always little-endian single-file
 volumes (magic ``n+1``) with slope 1, intercept 0 and the data section at byte
-offset 352; gzip compression is applied when the output path ends in ``.gz``
-and detected on read from the 0x1F 0x8B signature.
+offset 352.  A path ending in ``.gz`` gets one deflate stream at level 1, in
+a gzip container that zlib writes itself (``wbits=31``): strategy ``Z_RLE``
+for ``uint8`` labels, the default for every other datatype.  The container
+header is ``1f 8b 08 00 00000000 04`` (no name, mtime 0, "fastest") plus
+zlib's OS byte, 03 on Unix builds, as Python 3.11's
+``gzip.compress(data, compresslevel=1, mtime=0)`` writes it.  The deflate
+bytes depend on the zlib build, so byte-identical output holds per platform.
+The reader detects gzip from the 0x1F 0x8B signature.
 
 Field offsets below follow the official nifti1.h layout.
 """
 
 from __future__ import annotations
 
-import contextlib
 import gzip
 import math
 import struct
@@ -50,6 +55,12 @@ DT_FLOAT64 = 64
 
 _MAGIC_SINGLE = b"n+1\x00"
 _GZIP_MAGIC = b"\x1f\x8b"
+
+# Deflate strategy by datatype code.  Labels are long runs of four values:
+# run-length matching deflates a 240x240x155 label volume in 13-25 ms (level 9:
+# 45-1290 ms) into 1.7-3.2x fewer bytes than level 1's default strategy.  It
+# doubles a z-scored float scan, so every other datatype keeps the default.
+_STRATEGY = {DT_UINT8: zlib.Z_RLE}
 
 
 @dataclass(frozen=True, eq=False)
@@ -236,10 +247,12 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
 
     The payload is cast to the header's datatype and stored unscaled (slope
     1, intercept 0) at byte 352; float32/float64 payloads round-trip
-    bit-exactly through :func:`read_volume`.  A ``.gz`` suffix selects gzip
-    output (mtime pinned to 0 so identical inputs produce byte-identical
-    files).  Geometry the float32 header fields cannot hold and dims above
-    32767 are refused.
+    bit-exactly through :func:`read_volume`.  A ``.gz`` suffix selects the
+    module's level-1 gzip stream (``Z_RLE`` for ``DT_UINT8``); its header,
+    ``1f 8b 08 00 00000000 04`` plus zlib's OS byte, holds no name and mtime
+    0, so identical inputs give byte-identical files on one zlib build.
+    Geometry the float32 header fields cannot hold and dims above 32767 are
+    refused.
     """
     path = Path(path)
     if header.dims != grid.dims:
@@ -258,12 +271,18 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     dt = np.dtype(_DTYPES[header.datatype_code]).newbyteorder("<")
     # F-contiguous in the file's dtype, raveled without a copy when it already is
     payload = np.asfortranarray(grid.values, dtype=dt).ravel(order="K")
+    head = _pack_header(header, spacing, affine) + b"\x00\x00\x00\x00"
     try:
         with open(path, "wb") as fh:
-            # filename="" and mtime=0 keep the gzip container byte-stable
-            with (gzip.GzipFile(filename="", fileobj=fh, mode="wb", mtime=0)
-                  if path.name.endswith(".gz") else contextlib.nullcontext(fh)) as out:
-                out.write(_pack_header(header, spacing, affine) + b"\x00\x00\x00\x00")
-                out.write(payload)
+            if path.name.endswith(".gz"):
+                # wbits=31: zlib writes the gzip header, CRC-32 and length
+                deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 8, _STRATEGY.get(
+                    header.datatype_code, zlib.Z_DEFAULT_STRATEGY))
+                fh.write(deflate.compress(head))
+                fh.write(deflate.compress(payload))
+                fh.write(deflate.flush())
+            else:
+                fh.write(head)
+                fh.write(payload)
     except OSError as err:
         raise IoFailure(f"cannot write {path}: {err}") from err

@@ -9,10 +9,12 @@ package's own serialization.
 import gzip
 import math
 import os
+import shutil
 import struct
 import subprocess
 import sys
 import warnings
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -441,11 +443,29 @@ class TestWriteVolume:
         blobs = {}
         for name, array in layouts.items():
             grid = VoxelGrid(array)
-            path = tmp_path / f"{name}{suffix}"
-            write_volume(path, NiftiHeader.for_grid(grid, code), grid)
-            blobs[name] = path.read_bytes()
+            for ext in (".nii", ".nii.gz"):
+                write_volume(tmp_path / f"{name}{ext}", NiftiHeader.for_grid(grid, code), grid)
+            plain = (tmp_path / f"{name}.nii").read_bytes()
+            assert gzip.decompress((tmp_path / f"{name}.nii.gz").read_bytes()) == plain
+            blobs[name] = (tmp_path / f"{name}{suffix}").read_bytes()
         assert len(set(blobs.values())) == 1
         assert np.array_equal(read_volume(tmp_path / f"f{suffix}")[1].values, native)
+
+    @pytest.mark.parametrize("code,strategy", [(DT_UINT8, zlib.Z_RLE),
+                                               (DT_FLOAT32, zlib.Z_DEFAULT_STRATEGY)],
+                             ids=["uint8", "float32"])
+    def test_gzip_is_one_level_1_deflate_stream(self, tmp_path, code, strategy):
+        rng = np.random.default_rng(8)
+        values = rng.choice(np.array([0, 0, 0, 1, 2, 4]), size=(20, 18, 16))
+        grid = VoxelGrid(values.astype(_NUMPY_OF[code]))
+        for ext in (".nii", ".nii.gz"):
+            write_volume(tmp_path / f"v{ext}", NiftiHeader.for_grid(grid, code), grid)
+        deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 8, strategy)
+        expected = deflate.compress((tmp_path / "v.nii").read_bytes()) + deflate.flush()
+        assert (tmp_path / "v.nii.gz").read_bytes() == expected
+        gzip_binary = shutil.which("gzip")
+        if gzip_binary:  # an independent check of the header, CRC-32 and length
+            subprocess.run([gzip_binary, "-t", str(tmp_path / "v.nii.gz")], check=True)
 
     def test_identical_inputs_give_identical_gzip_bytes(self, tmp_path):
         grid = VoxelGrid(np.ones((3, 3, 3), dtype=np.float32))
