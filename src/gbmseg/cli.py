@@ -5,7 +5,9 @@ deterministic given identical inputs and flags.  ``fuse`` and ``evaluate``
 match case files across directories by one rule, ``harness.match_cases``,
 and ``fuse`` names each output ``<case_id>.nii.gz``.  A command that exits
 non-zero leaves no file or directory it created, and an existing ``--out``
-keeps its old contents.
+keeps its old contents.  A data error prints one ``gbmseg: error:`` line:
+the reader or writer names the file, and the command prefixes only what
+the file cannot say, such as ``case <id>`` or the pair of inputs compared.
 """
 
 from __future__ import annotations
@@ -21,12 +23,11 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import GbmsegError, IoFailure, NoMatchedCases, TooFewRaters
+from .errors import GbmsegError, IoFailure, NoMatchedCases, TooFewRaters, error_prefix
 from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     aggregate,
     build_report,
-    error_prefix,
     evaluate_dataset,
     match_cases,
     rank_all,
@@ -140,9 +141,8 @@ def _cmd_augment(args) -> None:
     spec = sample_augmentation(args.seed)
     payload = "labels" if args.labels else "intensity"
     with _output_plan(out.parent, [out.name], [args.input]) as staging:
-        _, grid = read_volume(args.input)
-        if args.labels:  # a foreign label raises BadLabel rather than wrapping in the uint8 write
-            grid = LabelVolume.from_grid(grid).to_grid()
+        # a foreign label raises BadLabel rather than wrapping in the uint8 write
+        grid = read_labels(args.input).to_grid() if args.labels else read_volume(args.input)[1]
         augmented = apply_augmentation(grid, spec, payload)
         datatype = DT_UINT8 if args.labels else DT_FLOAT32
         write_volume(staging / out.name, NiftiHeader.for_grid(augmented, datatype), augmented)

@@ -1,12 +1,25 @@
-"""Exception hierarchy shared across the toolkit.
+"""Exception hierarchy shared across the toolkit, and its one context rule.
 
 Every error raised on purpose by this package derives from GbmsegError so
 callers (and the CLI) can distinguish data problems from genuine bugs.
+Context comes only from :func:`error_prefix`: the function that opens a file
+names it, once, and a caller prefixes the case or input pair it works on.
 """
+
+from contextlib import contextmanager
 
 
 class GbmsegError(Exception):
     """Base class for all toolkit errors."""
+
+
+@contextmanager
+def error_prefix(prefix: str):
+    """Prefix ``<prefix>: `` to a GbmsegError raised inside, keeping its class."""
+    try:
+        yield
+    except GbmsegError as err:
+        raise type(err)(f"{prefix}: {err}") from err
 
 
 # --- NIfTI I/O ---------------------------------------------------------
@@ -95,8 +108,3 @@ class TooManyRaters(GbmsegError):
 
 class NoMatchedCases(GbmsegError):
     """No prediction/ground-truth pair could be formed."""
-
-
-class UnreadableVolume(GbmsegError):
-    """A label volume could not be read; the message names the file, and
-    ``harness.error_prefix`` prefixes the case."""

@@ -34,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, UnreadableVolume
+from .errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, error_prefix
 from .metrics import CaseMetrics, evaluate_case
 from .nifti_io import read_volume
 from .volume import REGIONS, LabelVolume, Region
@@ -156,28 +156,28 @@ def pair_cases(
 
 @contextmanager
 def _csv_reader(path):
-    """A ``csv.DictReader`` over the UTF-8 file ``path``.  Bytes that are
-    not UTF-8, or a field over the csv module's size limit, raise IoFailure
-    naming the file, whether the header or a row holds them."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """A ``csv.DictReader`` over the UTF-8 file ``path``; each GbmsegError
+    raised while it is open starts with ``<path>: ``.  Bytes that are not
+    UTF-8, or a field over the csv module's size limit, raise IoFailure,
+    whether the header or a row holds them."""
+    with open(path, newline="", encoding="utf-8") as fh, error_prefix(str(path)):
         try:
             yield csv.DictReader(fh)
         except (UnicodeDecodeError, csv.Error) as err:
-            raise IoFailure(f"{path}: {err}") from err
+            raise IoFailure(str(err)) from err
 
 
-def _csv_rows(reader: csv.DictReader, path):
+def _csv_rows(reader: csv.DictReader):
     """Yield the rows of ``reader``; a row whose field count differs from
     the header's, or that repeats a ``case_id``, raises IoFailure naming
-    the file and line."""
+    the line."""
     first_line: dict[str, int] = {}
     for row in reader:
         if None in row or None in row.values():
-            raise IoFailure(
-                f"{path}: line {reader.line_num}: expected {len(reader.fieldnames)} fields")
+            raise IoFailure(f"line {reader.line_num}: expected {len(reader.fieldnames)} fields")
         case_id = row["case_id"]
         if case_id in first_line:
-            raise IoFailure(f"{path}: line {reader.line_num}: case_id {case_id!r} "
+            raise IoFailure(f"line {reader.line_num}: case_id {case_id!r} "
                             f"already given on line {first_line[case_id]}")
         first_line[case_id] = reader.line_num
         yield row
@@ -189,8 +189,8 @@ def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
     with _csv_reader(manifest) as reader:
         missing = sorted({"case_id", "pred", "gt"} - set(reader.fieldnames or ()))
         if missing:
-            raise IoFailure(f"{manifest}: manifest has no column {', '.join(missing)}")
-        for row in _csv_rows(reader, manifest):
+            raise IoFailure(f"manifest has no column {', '.join(missing)}")
+        for row in _csv_rows(reader):
             pred = Path(row["pred"])
             gt = Path(row["gt"])
             pairs.append((
@@ -202,21 +202,11 @@ def _pairs_from_manifest(manifest: Path) -> list[tuple[str, Path, Path]]:
 
 
 def read_labels(path) -> LabelVolume:
-    """Read one label volume; any failure is an UnreadableVolume naming the file."""
-    try:
-        _, grid = read_volume(path)
+    """Read one label volume; each GbmsegError it raises, for unreadable
+    bytes or a label outside {0, 1, 2, 4}, starts with ``<path>: ``."""
+    _, grid = read_volume(path)
+    with error_prefix(str(path)):
         return LabelVolume.from_grid(grid)
-    except (GbmsegError, OSError) as err:
-        raise UnreadableVolume(f"{path}: {err}") from err
-
-
-@contextmanager
-def error_prefix(prefix: str):
-    """Prefix ``<prefix>: `` to a GbmsegError raised inside, keeping its class."""
-    try:
-        yield
-    except GbmsegError as err:
-        raise type(err)(f"{prefix}: {err}") from err
 
 
 def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
@@ -345,13 +335,13 @@ def _metric_value(column: str, text: str) -> float:
 def read_metrics_csv(path) -> list[CaseMetrics]:
     with _csv_reader(path) as reader:
         if reader.fieldnames is None or tuple(reader.fieldnames) != CSV_COLUMNS:
-            raise EmptyInput(f"{path}: not a metrics CSV (columns {reader.fieldnames})")
+            raise EmptyInput(f"not a metrics CSV (columns {reader.fieldnames})")
         cases = []
-        for row in _csv_rows(reader, path):
+        for row in _csv_rows(reader):
             try:
                 values = {k: _metric_value(k, row[k]) for k in CSV_COLUMNS[1:]}
             except ValueError as err:
-                raise IoFailure(f"{path}: line {reader.line_num}: {err}") from err
+                raise IoFailure(f"line {reader.line_num}: {err}") from err
             cases.append(CaseMetrics(case_id=row["case_id"], **values))
         return cases
 

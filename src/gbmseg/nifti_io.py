@@ -13,7 +13,8 @@ header is ``1f 8b 08 00 00000000 04`` (no name, mtime 0, "fastest") plus
 zlib's OS byte, 03 on Unix builds, as Python 3.11's
 ``gzip.compress(data, compresslevel=1, mtime=0)`` writes it.  The deflate
 bytes depend on the zlib build, so byte-identical output holds per platform.
-The reader detects gzip from the 0x1F 0x8B signature.
+The reader detects gzip from the 0x1F 0x8B signature.  Reader and writer name
+their file: each GbmsegError they raise starts with ``<path>: ``.
 
 Field offsets below follow the official nifti1.h layout.
 """
@@ -36,6 +37,7 @@ from .errors import (
     NotNifti,
     TruncatedFile,
     UnsupportedDatatype,
+    error_prefix,
 )
 from .volume import VoxelGrid, checked_geometry
 
@@ -184,16 +186,6 @@ def validate_header(raw: bytes) -> NiftiHeader:
     return _parse_header(raw)[0]
 
 
-def _read_bytes(path: Path) -> bytes:
-    try:
-        raw = path.read_bytes()
-        return gzip.decompress(raw) if raw[:2] == _GZIP_MAGIC else raw
-    except EOFError as err:  # gzip stream cut off before its end marker
-        raise TruncatedFile(f"{path}: compressed data ends early: {err}") from err
-    except (OSError, zlib.error) as err:  # BadGzipFile is an OSError
-        raise IoFailure(f"cannot read {path}: {err}") from err
-
-
 def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
     """Read a single-file NIfTI-1 volume, optionally gzip-compressed.
 
@@ -202,25 +194,32 @@ def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
     unless ``scl_slope`` is 0 or the pair is (1, 0).  Scaled values are
     float64, and the returned header says so: it describes the returned
     grid, so ``write_volume(dst, *read_volume(src))`` copies the values.
+    A bad file raises a GbmsegError whose message starts with ``<path>: ``.
     """
-    path = Path(path)
-    raw = _read_bytes(path)
-    header, dt, offset, scaling = _parse_header(raw)
+    with error_prefix(str(path)):
+        try:
+            raw = Path(path).read_bytes()
+            raw = gzip.decompress(raw) if raw[:2] == _GZIP_MAGIC else raw
+        except EOFError as err:  # gzip stream cut off before its end marker
+            raise TruncatedFile(f"compressed data ends early: {err}") from err
+        except (OSError, zlib.error) as err:  # BadGzipFile is an OSError
+            # an OSError's strerror leaves out the filename it would quote
+            raise IoFailure(f"cannot read: {getattr(err, 'strerror', None) or err}") from err
+        header, dt, offset, scaling = _parse_header(raw)
 
-    count = header.dims[0] * header.dims[1] * header.dims[2]
-    nbytes = count * dt.itemsize
-    if len(raw) < offset + nbytes:
-        raise TruncatedFile(
-            f"{path}: need {nbytes} data bytes at offset {offset}, have {len(raw) - offset}"
-        )
-    flat = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
-    values = flat.reshape(header.dims, order="F").astype(dt.newbyteorder("="))
+        count = header.dims[0] * header.dims[1] * header.dims[2]
+        nbytes = count * dt.itemsize
+        if len(raw) < offset + nbytes:
+            raise TruncatedFile(
+                f"need {nbytes} data bytes at offset {offset}, have {len(raw) - offset}")
+        flat = np.frombuffer(raw, dtype=dt, count=count, offset=offset)
+        values = flat.reshape(header.dims, order="F").astype(dt.newbyteorder("="))
 
-    if scaling is not None:
-        slope, inter = scaling
-        values = values.astype(np.float64) * slope + inter
+        if scaling is not None:
+            slope, inter = scaling
+            values = values.astype(np.float64) * slope + inter
 
-    grid = VoxelGrid(values, spacing=header.spacing, affine=header.affine)
+        grid = VoxelGrid(values, spacing=header.spacing, affine=header.affine)
     return header, grid
 
 
@@ -252,37 +251,37 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
     ``1f 8b 08 00 00000000 04`` plus zlib's OS byte, holds no name and mtime
     0, so identical inputs give byte-identical files on one zlib build.
     Geometry the float32 header fields cannot hold and dims above 32767 are
-    refused.
+    refused.  Every GbmsegError raised here starts with ``<path>: ``.
     """
-    path = Path(path)
-    if header.dims != grid.dims:
-        raise DimensionMismatch(f"header dims {header.dims} != grid dims {grid.dims}")
-    if max(header.dims) > MAX_DIM:
-        raise IoFailure(f"cannot write {path}: dims {header.dims} exceed {MAX_DIM}")
-    # The header stores geometry as float32; what the reader gets back must
-    # pass the same geometry rule.
-    with np.errstate(over="ignore", under="ignore"):
-        spacing = np.asarray(header.spacing, dtype=np.float32)
-        affine = np.asarray(header.affine, dtype=np.float32)
-    try:
-        checked_geometry(spacing, affine)
-    except ValueError as err:
-        raise IoFailure(f"cannot write {path}: geometry as float32: {err}") from err
-    dt = np.dtype(_DTYPES[header.datatype_code]).newbyteorder("<")
-    # F-contiguous in the file's dtype, raveled without a copy when it already is
-    payload = np.asfortranarray(grid.values, dtype=dt).ravel(order="K")
-    head = _pack_header(header, spacing, affine) + b"\x00\x00\x00\x00"
-    try:
-        with open(path, "wb") as fh:
-            if path.name.endswith(".gz"):
-                # wbits=31: zlib writes the gzip header, CRC-32 and length
-                deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 8, _STRATEGY.get(
-                    header.datatype_code, zlib.Z_DEFAULT_STRATEGY))
-                fh.write(deflate.compress(head))
-                fh.write(deflate.compress(payload))
-                fh.write(deflate.flush())
-            else:
-                fh.write(head)
-                fh.write(payload)
-    except OSError as err:
-        raise IoFailure(f"cannot write {path}: {err}") from err
+    with error_prefix(str(path)):
+        if header.dims != grid.dims:
+            raise DimensionMismatch(f"header dims {header.dims} != grid dims {grid.dims}")
+        if max(header.dims) > MAX_DIM:
+            raise IoFailure(f"cannot write: dims {header.dims} exceed {MAX_DIM}")
+        # The header stores geometry as float32; what the reader gets back
+        # must pass the same geometry rule.
+        with np.errstate(over="ignore", under="ignore"):
+            spacing = np.asarray(header.spacing, dtype=np.float32)
+            affine = np.asarray(header.affine, dtype=np.float32)
+        try:
+            checked_geometry(spacing, affine)
+        except ValueError as err:
+            raise IoFailure(f"cannot write: geometry as float32: {err}") from err
+        dt = np.dtype(_DTYPES[header.datatype_code]).newbyteorder("<")
+        # F-contiguous in the file's dtype, raveled without a copy when it already is
+        payload = np.asfortranarray(grid.values, dtype=dt).ravel(order="K")
+        head = _pack_header(header, spacing, affine) + b"\x00\x00\x00\x00"
+        try:
+            with open(path, "wb") as fh:
+                if str(path).endswith(".gz"):
+                    # wbits=31: zlib writes the gzip header, CRC-32 and length
+                    deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 8, _STRATEGY.get(
+                        header.datatype_code, zlib.Z_DEFAULT_STRATEGY))
+                    fh.write(deflate.compress(head))
+                    fh.write(deflate.compress(payload))
+                    fh.write(deflate.flush())
+                else:
+                    fh.write(head)
+                    fh.write(payload)
+        except OSError as err:
+            raise IoFailure(f"cannot write: {getattr(err, 'strerror', None) or err}") from err

@@ -100,14 +100,15 @@ def zscore_normalize(grid: VoxelGrid) -> VoxelGrid:
     _require_finite(grid)
     values = grid.values.astype(np.float64)
     brain = values != 0
-    if not brain.any():
+    inside = values[brain]  # gathered once: over a Fortran-ordered grid it is a strided walk
+    if inside.size == 0:
         raise NoBrainVoxels("cannot normalize an all-zero volume")
-    mean = values[brain].mean()
-    std = values[brain].std()  # population (ddof=0)
+    mean = inside.mean()
+    std = inside.std()  # population (ddof=0)
     if std == 0.0:
-        raise ZeroVariance(f"all brain voxels equal {values[brain][0]}")
+        raise ZeroVariance(f"all brain voxels equal {inside[0]}")
     out = np.zeros_like(values)
-    out[brain] = (values[brain] - mean) / std
+    out[brain] = (inside - mean) / std
     return VoxelGrid(out, grid.spacing, grid.affine)
 
 

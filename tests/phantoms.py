@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gzip
+import struct
+
 import numpy as np
 
 from gbmseg.volume import LabelVolume, Region, RegionMask
@@ -62,3 +65,21 @@ def mask_dice(a: np.ndarray, b: np.ndarray) -> float:
         return 100.0
     inter = int((a & b).sum())
     return 200.0 * inter / (na + nb)
+
+
+def _first_half(blob: bytes) -> bytes:
+    return blob[: len(blob) // 2]
+
+
+# Each way a volume file can fail to read, as bytes made from a valid
+# uncompressed NIfTI-1 file.
+SPOILED = {
+    "empty": lambda valid: b"",
+    "not_nifti": lambda valid: b"not a NIfTI volume\n" * 32,
+    "bad_magic": lambda valid: valid[:344] + b"ni1\x00" + valid[348:],
+    "datatype_128": lambda valid: valid[:70] + struct.pack("<h", 128) + valid[72:],
+    "short_payload": lambda valid: valid[:-1],
+    "short_gzip": lambda valid: _first_half(gzip.compress(valid)),
+    # 0xFF after the 10-byte gzip header opens a deflate block of reserved type
+    "corrupt_gzip": lambda valid: gzip.compress(valid)[:10] + b"\xff" * 64,
+}

@@ -24,7 +24,7 @@ from gbmseg.preprocess import DEFAULT_TARGET_DIMS
 from gbmseg.volume import LabelVolume, VoxelGrid, compose_regions
 
 from oracles import dice_bruteforce, hd95_full_grid
-from phantoms import ball, mask_dice, nested_label_phantom, noisy_rater_labels
+from phantoms import SPOILED, ball, mask_dice, nested_label_phantom, noisy_rater_labels
 
 GOLDEN_DIR = Path(__file__).with_name("golden")
 
@@ -1020,3 +1020,50 @@ class TestEvaluateAndReport:
         err = capsys.readouterr().err
         assert err.startswith(f"gbmseg: error: {csv}") and "Traceback" not in err
         assert not out.exists()
+
+
+# Every read failure in every command that reads volumes: "missing" only where
+# a manifest lists the file, "label_3" only where labels are read.
+_READ_FAILURES = [
+    (command, kind)
+    for command in ("fuse", "evaluate", "preprocess", "augment", "augment --labels")
+    for kind in ("missing", *SPOILED, "label_3")
+    if (kind != "missing" or command == "evaluate")
+    and (kind != "label_3" or command in ("fuse", "evaluate", "augment --labels"))
+]
+
+
+@pytest.mark.parametrize("command, kind", _READ_FAILURES)
+def test_read_failure_names_the_file_once(tmp_path, capsys, command, kind):
+    # preprocess and augment once named no file for a bad header, nor augment
+    # --labels for a label 3; fuse and evaluate named a cut or corrupt file
+    # twice, and evaluate a missing manifest file three times
+    good = tmp_path / "good.nii.gz"
+    write_labels(good, nested_label_phantom(dims=(6, 6, 6), wt_radius=2.5, tc_radius=1.5,
+                                            et_radius=0.5))
+    bad = tmp_path / "m1" / "c1.nii.gz"
+    bad.parent.mkdir()
+    if kind == "label_3":
+        grid = VoxelGrid(np.full((6, 6, 6), 3, np.uint8))
+        write_volume(bad, NiftiHeader.for_grid(grid, DT_UINT8), grid)
+    elif kind != "missing":
+        bad.write_bytes(SPOILED[kind](gzip.decompress(good.read_bytes())))
+    out = tmp_path / "out"
+    if command == "fuse":
+        (tmp_path / "m0").mkdir()
+        (tmp_path / "m0" / "c1.nii.gz").write_bytes(good.read_bytes())
+        argv = ["fuse", str(tmp_path / "m0"), str(bad.parent), "--method", "vote"]
+    elif command == "evaluate":
+        manifest = tmp_path / "pairs.csv"
+        manifest.write_text("case_id,pred,gt\nc1,good.nii.gz,m1/c1.nii.gz\n")
+        argv = ["evaluate", "--pred", str(tmp_path), "--gt", str(tmp_path),
+                "--manifest", str(manifest)]
+    elif command == "preprocess":
+        argv = ["preprocess", str(good), str(bad)]
+    else:
+        argv, out = [*command.split(), str(bad), "--seed", "0"], out / "x.nii.gz"
+    assert main([*argv, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    case = "case c1: " if command in ("fuse", "evaluate") else ""
+    assert err.startswith(f"gbmseg: error: {case}{bad}: ") and "Traceback" not in err
+    assert err.count(str(bad)) == 1 and err.count("case c1") == (case != "")

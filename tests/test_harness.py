@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from gbmseg.cli import main
-from gbmseg.errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, UnreadableVolume
+from gbmseg.errors import EmptyInput, GbmsegError, IoFailure, NoMatchedCases, NotNifti
 from gbmseg.harness import (
     CSV_COLUMNS,
     RANK_STRATEGIES,
@@ -382,7 +382,7 @@ class TestEvaluateDataset:
     def test_unreadable_volume_carries_case_context(self, tmp_path):
         pred, gt = self._populate(tmp_path, n=1)
         (pred / "case_000.nii.gz").write_bytes(b"garbage")
-        with pytest.raises(UnreadableVolume, match="case_000"):
+        with pytest.raises(NotNifti, match="case_000"):
             evaluate_dataset(pred, gt)
 
     def test_perfect_prediction_scores_perfectly(self, tmp_path):

@@ -9,6 +9,7 @@ package's own serialization.
 import gzip
 import math
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -43,6 +44,8 @@ from gbmseg.nifti_io import (
     write_volume,
 )
 from gbmseg.volume import VoxelGrid
+
+from phantoms import SPOILED
 
 _NUMPY_OF = {DT_UINT8: np.uint8, DT_FLOAT32: np.float32, DT_FLOAT64: np.float64}
 _BITPIX = {2: 8, 4: 16, 8: 32, 16: 32, 64: 64, 256: 8, 512: 16, 768: 32, 1024: 64, 1280: 64}
@@ -171,6 +174,19 @@ class TestReadVolume:
         path.write_bytes(bytes(blob))
         with pytest.raises(IoFailure):
             read_volume(path)
+
+    @pytest.mark.parametrize("kind", ["missing", *SPOILED])
+    def test_failure_message_starts_with_the_path(self, tmp_path, kind):
+        # a cut or corrupt file was named inside the message, a bad header not at all
+        data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
+        valid = fixture_file(tmp_path, "x.nii", fixture_header(), data).read_bytes()
+        path = tmp_path / "bad.nii"
+        if kind != "missing":
+            path.write_bytes(SPOILED[kind](valid))
+        with pytest.raises(GbmsegError) as caught:
+            read_volume(path)
+        message = str(caught.value)
+        assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
 
     def test_trailing_unit_dimensions_squeezed(self, tmp_path):
         data = np.arange(8, dtype=np.float32).reshape((2, 2, 2), order="F")
@@ -395,8 +411,17 @@ class TestWriteVolume:
     def test_dimension_mismatch(self, tmp_path):
         grid = VoxelGrid(np.zeros((3, 3, 1), dtype=np.float32))
         header = NiftiHeader((2, 2, 2), DT_FLOAT32, (1, 1, 1), np.eye(4))
-        with pytest.raises(DimensionMismatch):
-            write_volume(tmp_path / "bad.nii", header, grid)
+        path = tmp_path / "bad.nii"
+        with pytest.raises(DimensionMismatch, match=f"^{re.escape(str(path))}: header dims"):
+            write_volume(path, header, grid)
+
+    def test_os_error_names_the_path_once(self, tmp_path):
+        # the OSError's own "[Errno 2] ...: '<path>'" once named the path twice
+        grid = VoxelGrid(np.zeros((2, 2, 2), dtype=np.float32))
+        path = tmp_path / "no_such_dir" / "v.nii"
+        with pytest.raises(IoFailure) as caught:
+            write_volume(path, NiftiHeader.for_grid(grid), grid)
+        assert str(caught.value) == f"{path}: cannot write: No such file or directory"
 
     def test_gz_suffix_produces_gzip_bytes(self, tmp_path):
         grid = VoxelGrid(np.zeros((2, 2, 2), dtype=np.float32))
@@ -488,14 +513,14 @@ class TestWriteVolume:
         path = tmp_path / "far.nii"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(GbmsegError):
+            with pytest.raises(IoFailure, match=f"^{re.escape(str(path))}: cannot write: "):
                 write_volume(path, NiftiHeader.for_grid(grid), grid)
         assert not path.exists()
 
     def test_dims_beyond_int16_rejected(self, tmp_path):
         grid = VoxelGrid(np.zeros((40000, 1, 1), np.uint8))
         path = tmp_path / "long.nii"
-        with pytest.raises(IoFailure):
+        with pytest.raises(IoFailure, match=f"^{re.escape(str(path))}: cannot write: dims"):
             write_volume(path, NiftiHeader.for_grid(grid, DT_UINT8), grid)
         assert not path.exists()
 

@@ -62,7 +62,8 @@ def test_traced_fuse_and_evaluate_record_each_layer(tmp_path, capsys):
         tracer.uninstall()
 
     recorded = {span.name for span in tracer.spans}
-    for name in ("fusion.staple_regions", "fusion.staple_binary", "volume.compose_regions",
+    for name in ("nifti_io.read_volume", "nifti_io.write_volume", "volume.from_grid",
+                 "fusion.staple_regions", "fusion.staple_binary", "volume.compose_regions",
                  "metrics.hd95", "metrics.surface_voxels"):
         assert name in recorded, name
     assert tracer.staple_iterations and all(n >= 1 for n in tracer.staple_iterations)
