@@ -8,6 +8,8 @@ non-zero leaves no file or directory it created, and an existing ``--out``
 keeps its old contents.  A data error prints one ``gbmseg: error:`` line:
 the reader or writer names the file, and the command prefixes only what
 the file cannot say, such as ``case <id>`` or the pair of inputs compared.
+The output plan names a failed output as asked for, ``<out>/<name>``, never
+its staged copy.  This module opens no file itself.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .harness import (
     summarize_method,
     write_json,
     write_metrics_csv,
+    write_text,
 )
 from .nifti_io import DT_FLOAT32, DT_UINT8, MAX_DIM, NiftiHeader, read_volume, write_volume
 from .postprocess import DEFAULT_ET_THRESHOLD, et_threshold_relabel
@@ -82,33 +85,45 @@ def _output_plan(out_dir: Path, names: list[str], inputs: list, sources=None):
     before anything is read or created; ``sources[i]``, when given, names
     what output i is written from.  Yield a hidden directory in ``out_dir``
     to write them in.  On success each file replaces its output; on any error
-    the plan removes that directory, then each directory it made, and re-raises."""
+    the plan removes that directory, then each directory it made, and
+    re-raises, a GbmsegError with each staged file named as its output.
+    Two spellings of one NIfTI output, ``x.nii`` and ``x.nii.gz``, are one
+    output, so one run never leaves both."""
     outputs = [out_dir / name for name in names]
     resolved, planned = {Path(p).resolve(): p for p in inputs}, {}
     for out, source in zip(outputs, sources or outputs):
         key = out.resolve()
+        nifti = out.name.endswith((".nii", ".nii.gz"))
         other = out.with_name(out.name[:-3] if out.name.endswith(".gz") else out.name + ".gz")
         if key in resolved:
             raise IoFailure(f"output {out} would overwrite input {resolved[key]}")
-        if key in planned:
-            raise IoFailure(f"{planned[key]} and {source} would both be written to {out}")
+        one = key.with_name(key.name.removesuffix(".gz")) if nifti else key
+        if one in planned:
+            raise IoFailure(f"{planned[one]} and {source} would both be written to {out}")
         if out.is_dir():  # checked now, so that no os.replace below can fail on it
             raise IoFailure(f"output {out} is a directory")
-        if out.name.endswith((".nii", ".nii.gz")) and other.is_file():
+        if nifti and other.is_file():
             raise IoFailure(f"output {out} would be a second file beside {other}")
-        planned[key] = source
+        planned[one] = source
     made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staging = Path(tempfile.mkdtemp(prefix=".gbmseg-", dir=out_dir))
+    with error_prefix(str(out_dir)):
+        out_dir.mkdir(parents=True, exist_ok=True)
+        staging = Path(tempfile.mkdtemp(prefix=".gbmseg-", dir=out_dir))
     try:
         yield staging
         for name in names:
-            os.replace(staging / name, out_dir / name)
-    except BaseException:
+            with error_prefix(str(out_dir / name)):
+                os.replace(staging / name, out_dir / name)
+    except BaseException as err:
         shutil.rmtree(staging)
         for d in made:  # deepest first; never one the plan did not make
             d.rmdir()
-        raise
+        if not isinstance(err, GbmsegError):
+            raise
+        message = str(err)
+        for name in names:
+            message = message.replace(str(staging / name), str(out_dir / name))
+        raise type(err)(message) from err
     staging.rmdir()
 
 
@@ -210,7 +225,7 @@ def _cmd_report(args) -> None:
         orders = rank_all(summaries)
         payload = {"methods": [asdict(s) for s in summaries], "order": orders}
         write_json(payload, staging / "ranking.json")
-        (staging / "aggregates.txt").write_bytes("\n".join(tables).encode("utf-8"))
+        write_text("\n".join(tables), staging / "aggregates.txt")
     for s in sorted(summaries, key=lambda s: s.ranks["dsc_only"]):
         print(
             f"{s.ranks['dsc_only']:>2}  {s.method_name:<24} "

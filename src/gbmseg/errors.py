@@ -4,6 +4,8 @@ Every error raised on purpose by this package derives from GbmsegError so
 callers (and the CLI) can distinguish data problems from genuine bugs.
 Context comes only from :func:`error_prefix`: the function that opens a file
 names it, once, and a caller prefixes the case or input pair it works on.
+It alone turns an OSError into a GbmsegError, so each filesystem call runs
+under the prefix of its own path.
 """
 
 from contextlib import contextmanager
@@ -15,11 +17,15 @@ class GbmsegError(Exception):
 
 @contextmanager
 def error_prefix(prefix: str):
-    """Prefix ``<prefix>: `` to a GbmsegError raised inside, keeping its class."""
+    """Prefix ``<prefix>: `` to a GbmsegError raised inside, keeping its class.
+    An OSError becomes IoFailure with its ``strerror``, not the filename it
+    quotes: the prefix already names the path."""
     try:
         yield
     except GbmsegError as err:
         raise type(err)(f"{prefix}: {err}") from err
+    except OSError as err:
+        raise IoFailure(f"{prefix}: {err.strerror or err}") from err
 
 
 # --- NIfTI I/O ---------------------------------------------------------

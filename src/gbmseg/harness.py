@@ -19,6 +19,8 @@ row, one row per case_id, LF endings; DSC with two decimals, HD95 with
 four); the aggregate table lays out the five statistics rows by the three
 region columns per metric.  All outputs are deterministic functions of
 their inputs.
+Every file or directory here is opened under ``errors.error_prefix(<path>)``,
+and every JSON and text report is written by :func:`write_text`.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ def case_files(directory) -> dict[str, Path]:
     directory; two files for one case (``c1.nii`` and ``c1.nii.gz``) raise
     :class:`IoFailure` rather than one silently shadowing the other."""
     files: dict[str, Path] = {}
-    for path in sorted(Path(directory).iterdir()):
+    with error_prefix(str(directory)):
+        paths = sorted(Path(directory).iterdir())
+    for path in paths:
         if path.is_file() and path.name.endswith((".nii", ".nii.gz")):
             stem = _case_stem(path)
             if stem in files:
@@ -157,10 +161,10 @@ def pair_cases(
 @contextmanager
 def _csv_reader(path):
     """A ``csv.DictReader`` over the UTF-8 file ``path``; each GbmsegError
-    raised while it is open starts with ``<path>: ``.  Bytes that are not
-    UTF-8, or a field over the csv module's size limit, raise IoFailure,
-    whether the header or a row holds them."""
-    with open(path, newline="", encoding="utf-8") as fh, error_prefix(str(path)):
+    raised while opening it or while it is open starts with ``<path>: ``.
+    Bytes that are not UTF-8, or a field over the csv module's size limit,
+    raise IoFailure, whether the header or a row holds them."""
+    with error_prefix(str(path)), open(path, newline="", encoding="utf-8") as fh:
         try:
             yield csv.DictReader(fh)
         except (UnicodeDecodeError, csv.Error) as err:
@@ -310,7 +314,7 @@ def rank_all(summaries: list[MethodSummary]) -> dict[str, list[str]]:
 def write_metrics_csv(cases: list[CaseMetrics], path) -> None:
     """Write the fixed-schema per-case CSV (UTF-8, LF endings); a case id
     holding a comma or a quote is quoted, so ``read_metrics_csv`` reads it back."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with error_prefix(str(path)), open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         writer.writerows(
@@ -373,7 +377,11 @@ def build_report(cases: list[CaseMetrics], report: AggregateReport) -> dict:
     }
 
 
+def write_text(text: str, path) -> None:
+    """Write ``text`` to ``path`` as UTF-8, newlines kept as they are."""
+    with error_prefix(str(path)), open(path, "wb") as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_json(payload: dict, path) -> None:
-    Path(path).write_bytes(
-        (json.dumps(payload, indent=2, sort_keys=True) + "\n").encode("utf-8")
-    )
+    write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)

@@ -14,7 +14,9 @@ zlib's OS byte, 03 on Unix builds, as Python 3.11's
 ``gzip.compress(data, compresslevel=1, mtime=0)`` writes it.  The deflate
 bytes depend on the zlib build, so byte-identical output holds per platform.
 The reader detects gzip from the 0x1F 0x8B signature.  Reader and writer name
-their file: each GbmsegError they raise starts with ``<path>: ``.
+their file: each GbmsegError they raise starts with ``<path>: ``, and an
+OSError, a corrupt gzip container included, reaches the caller as IoFailure
+``<path>: <strerror>``, converted by ``errors.error_prefix`` alone.
 
 Field offsets below follow the official nifti1.h layout.
 """
@@ -202,9 +204,8 @@ def read_volume(path) -> tuple[NiftiHeader, VoxelGrid]:
             raw = gzip.decompress(raw) if raw[:2] == _GZIP_MAGIC else raw
         except EOFError as err:  # gzip stream cut off before its end marker
             raise TruncatedFile(f"compressed data ends early: {err}") from err
-        except (OSError, zlib.error) as err:  # BadGzipFile is an OSError
-            # an OSError's strerror leaves out the filename it would quote
-            raise IoFailure(f"cannot read: {getattr(err, 'strerror', None) or err}") from err
+        except zlib.error as err:  # BadGzipFile is an OSError: error_prefix takes it
+            raise IoFailure(f"cannot read: {err}") from err
         header, dt, offset, scaling = _parse_header(raw)
 
         count = header.dims[0] * header.dims[1] * header.dims[2]
@@ -271,17 +272,14 @@ def write_volume(path, header: NiftiHeader, grid: VoxelGrid) -> None:
         # F-contiguous in the file's dtype, raveled without a copy when it already is
         payload = np.asfortranarray(grid.values, dtype=dt).ravel(order="K")
         head = _pack_header(header, spacing, affine) + b"\x00\x00\x00\x00"
-        try:
-            with open(path, "wb") as fh:
-                if str(path).endswith(".gz"):
-                    # wbits=31: zlib writes the gzip header, CRC-32 and length
-                    deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 8, _STRATEGY.get(
-                        header.datatype_code, zlib.Z_DEFAULT_STRATEGY))
-                    fh.write(deflate.compress(head))
-                    fh.write(deflate.compress(payload))
-                    fh.write(deflate.flush())
-                else:
-                    fh.write(head)
-                    fh.write(payload)
-        except OSError as err:
-            raise IoFailure(f"cannot write: {getattr(err, 'strerror', None) or err}") from err
+        with open(path, "wb") as fh:
+            if str(path).endswith(".gz"):
+                # wbits=31: zlib writes the gzip header, CRC-32 and length
+                deflate = zlib.compressobj(1, zlib.DEFLATED, 31, 8, _STRATEGY.get(
+                    header.datatype_code, zlib.Z_DEFAULT_STRATEGY))
+                fh.write(deflate.compress(head))
+                fh.write(deflate.compress(payload))
+                fh.write(deflate.flush())
+            else:
+                fh.write(head)
+                fh.write(payload)

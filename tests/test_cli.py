@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gbmseg
-from gbmseg import cli
+from gbmseg import cli, harness, nifti_io
 from gbmseg.cli import build_parser, main
 from gbmseg.fusion import StapleConfig
 from gbmseg.harness import read_labels, read_metrics_csv, write_metrics_csv
@@ -284,6 +284,21 @@ class TestPreprocess:
         err = capsys.readouterr().err
         assert f"output {out / 't1.nii.gz'} would be a second file beside {out / 't1.nii'}" in err
         assert entries(out) == {"t1.nii": b"earlier run"}
+
+    def test_both_spellings_of_one_output_is_data_error(self, tmp_path, capsys):
+        # x/t1.nii and y/t1.nii.gz were once written to o/t1.nii and o/t1.nii.gz,
+        # and every later fuse or evaluate of o failed on "case t1 has two files"
+        (tmp_path / "x").mkdir()
+        (tmp_path / "y").mkdir()
+        plain = write_brain_with(tmp_path / "x", 1.0)
+        gz = write_brain_with(tmp_path / "y", 2.0).rename(tmp_path / "y" / "t1.nii.gz")
+        out = tmp_path / "o"
+        assert main(["preprocess", str(plain), str(gz), "--out", str(out),
+                     "--target", "8", "8", "8"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"gbmseg: error: {plain} and {gz} would both be written "
+                                f"to {out / 't1.nii.gz'}\n")
+        assert captured.out == "" and not out.exists()
 
     def test_no_normalize_copies_a_nan_through(self, tmp_path):
         src = write_brain_with(tmp_path, np.nan)
@@ -1067,3 +1082,107 @@ def test_read_failure_names_the_file_once(tmp_path, capsys, command, kind):
     case = "case c1: " if command in ("fuse", "evaluate") else ""
     assert err.startswith(f"gbmseg: error: {case}{bad}: ") and "Traceback" not in err
     assert err.count(str(bad)) == 1 and err.count("case c1") == (case != "")
+
+
+class _FullFile:
+    """An open file whose every write fails as a file over RLIMIT_FSIZE does."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+
+def file_too_large(monkeypatch, name: str) -> None:
+    """A file named ``name`` that ``nifti_io`` or ``harness`` opens for
+    writing fails at its first write, inside the writer."""
+
+    def open_(file, mode="r", *args, **kwargs):
+        fh = open(file, mode, *args, **kwargs)
+        return _FullFile(fh) if "w" in mode and Path(file).name == name else fh
+
+    for module in (nifti_io, harness):
+        monkeypatch.setattr(module, "open", open_, raising=False)
+
+
+def write_inputs(directory: Path) -> None:
+    """Two cases in m0/, m1/ and gt/, two intensity volumes a.nii and b.nii,
+    and one metrics CSV m.csv, all in ``directory``."""
+    for sub in ("m0", "m1", "gt"):
+        (directory / sub).mkdir()
+        for case in ("c1", "c2"):
+            write_labels(directory / sub / f"{case}.nii.gz", nested_label_phantom(
+                dims=(6, 6, 6), wt_radius=2.5, tc_radius=1.5, et_radius=0.5))
+    for name, scale in (("a", 1.0), ("b", 2.0)):
+        (directory / name).mkdir()
+        write_brain_with(directory / name, scale).rename(directory / f"{name}.nii")
+        (directory / name).rmdir()
+    (directory / "m.csv").write_text("case_id,dsc_et,dsc_tc,dsc_wt,hd95_et,hd95_tc,hd95_wt\n"
+                                     "a,90.00,90.00,90.00,1.0000,1.0000,1.0000\n")
+
+
+# (command line without --out, output that fails, what prefixes its name)
+_WRITE_FAILURES = {
+    "preprocess": (["preprocess", "a.nii", "b.nii", "--target", "8", "8", "8"], "b.nii", ""),
+    "augment": (["augment", "a.nii", "--seed", "0"], "x.nii.gz", ""),
+    "fuse": (["fuse", "m0", "m1", "--method", "vote"], "c2.nii.gz", "case c2: "),
+    "evaluate metrics.csv": (["evaluate", "--pred", "m0", "--gt", "gt"], "metrics.csv", ""),
+    "evaluate report.json": (["evaluate", "--pred", "m0", "--gt", "gt"], "report.json", ""),
+    "report ranking.json": (["report", "m.csv"], "ranking.json", ""),
+    "report aggregates.txt": (["report", "m.csv"], "aggregates.txt", ""),
+}
+
+
+@pytest.mark.parametrize("out_exists", [False, True], ids=["new_out", "existing_out"])
+@pytest.mark.parametrize("failure", _WRITE_FAILURES)
+def test_failed_write_names_the_output_asked_for(tmp_path, capsys, monkeypatch, failure,
+                                                 out_exists):
+    # fuse, preprocess and augment once named the file in the staging
+    # directory, which was gone by then; evaluate and report named no file
+    argv, name, case = _WRITE_FAILURES[failure]
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    out_dir = Path("new", "o")
+    if out_exists:  # augment --out x.nii.gz writes beside its input
+        out_dir = Path("." if argv[0] == "augment" else "o")
+        out_dir.mkdir(exist_ok=True)
+        (out_dir / name).write_bytes(b"earlier run")
+    out = out_dir / "x.nii.gz" if argv[0] == "augment" else out_dir
+    before = entries(tmp_path)
+    file_too_large(monkeypatch, name)
+    assert main([*argv, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gbmseg: error: {case}{out_dir / name}: {os.strerror(errno.EFBIG)}\n"
+    assert captured.out == "" and entries(tmp_path) == before
+
+
+_MISSING_INPUTS = {
+    "fuse method directory": (["fuse", "m0", "nope", "--method", "vote", "--out", "o"],
+                              "nope", errno.ENOENT),
+    "evaluate --pred": (["evaluate", "--pred", "nope", "--gt", "gt", "--out", "o"],
+                        "nope", errno.ENOENT),
+    "evaluate --manifest": (["evaluate", "--pred", "m0", "--gt", "gt", "--manifest", "w/nope.csv",
+                             "--out", "o"], "w/nope.csv", errno.ENOENT),
+    "report csv": (["report", "w/nope.csv", "--out", "o"], "w/nope.csv", errno.ENOENT),
+    "--out under a file": (["report", "m.csv", "--out", "m.csv/o"], "m.csv/o", errno.ENOTDIR),
+}
+
+
+@pytest.mark.parametrize("missing", _MISSING_INPUTS)
+def test_missing_input_is_named_once(tmp_path, capsys, monkeypatch, missing):
+    # each once escaped as a raw "[Errno 2] No such file or directory: '<path>'"
+    argv, path, code = _MISSING_INPUTS[missing]
+    monkeypatch.chdir(tmp_path)
+    write_inputs(tmp_path)
+    before = entries(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"gbmseg: error: {path}: {os.strerror(code)}\n"
+    assert captured.out == "" and entries(tmp_path) == before

@@ -421,7 +421,7 @@ class TestWriteVolume:
         path = tmp_path / "no_such_dir" / "v.nii"
         with pytest.raises(IoFailure) as caught:
             write_volume(path, NiftiHeader.for_grid(grid), grid)
-        assert str(caught.value) == f"{path}: cannot write: No such file or directory"
+        assert str(caught.value) == f"{path}: No such file or directory"
 
     def test_gz_suffix_produces_gzip_bytes(self, tmp_path):
         grid = VoxelGrid(np.zeros((2, 2, 2), dtype=np.float32))
