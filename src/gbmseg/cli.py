@@ -25,8 +25,10 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 
-from .errors import GbmsegError, IoFailure, NoMatchedCases, TooFewRaters, error_prefix
-from .fusion import StapleConfig, majority_vote, mean_regions, staple_regions
+from .errors import (GbmsegError, IoFailure, NoMatchedCases, TooFewRaters, TooManyRaters,
+                     error_prefix)
+from .fusion import (MAX_STAPLE_LABEL_RATERS, StapleConfig, majority_vote, mean_regions,
+                     staple_regions)
 from .harness import (
     aggregate,
     build_report,
@@ -169,6 +171,9 @@ def _cmd_fuse(args) -> None:
     out_dir = Path(args.out)
     if args.method == "staple" and len(method_dirs) < 2:
         raise TooFewRaters(f"STAPLE needs >= 2 method directories, got {len(method_dirs)}")
+    if args.method == "staple" and len(method_dirs) > MAX_STAPLE_LABEL_RATERS:
+        raise TooManyRaters(f"STAPLE fuses at most {MAX_STAPLE_LABEL_RATERS} method directories, "
+                            f"got {len(method_dirs)}")
     cases = match_cases(method_dirs)
     if not cases:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")

@@ -12,6 +12,11 @@ STAPLE counts the raters' decision patterns in a table indexed by code.
 Its E-step takes the logistic of one log-odds value per pattern, one at
 a time with the C library's ``exp``, bit for bit as ``scipy.special.expit``
 does but without loading SciPy.  Its result keeps one weight per pattern.
+STAPLE over label volumes packs each voxel's R labels into one joint code,
+two bits a rater (0, 1, 2, 4 become 0, 1, 2, 3), and counts the codes once:
+each region's pattern table is a sum of those counts, and the fused labels
+are one table over the codes.  A joint code is at most a ``uint16``, so this
+path takes R <= 8; voting and the mean take any R.
 
 Voting and STAPLE work only inside the union box: the tightest box
 holding every voxel that some input marks nonzero.  Outside it every
@@ -43,6 +48,7 @@ from .volume import (
     REGIONS,
     LabelVolume,
     ProbabilityVolume,
+    Region,
     RegionMask,
     binarize,
     compose_regions,
@@ -51,11 +57,20 @@ from .volume import (
     union_box,
 )
 
+# A decision pattern takes one bit per rater and a joint label code two, and
+# each is at most a uint16: staple_binary fuses up to 16 masks and
+# staple_regions up to 8 label volumes (a table of 4^8 joint codes).
 MAX_STAPLE_RATERS = 16
+MAX_STAPLE_LABEL_RATERS = MAX_STAPLE_RATERS // 2
 # STAPLE keeps each rater's sensitivity and specificity inside
 # [STAPLE_CLAMP, 1 - STAPLE_CLAMP], so the E-step never takes log(0) and
 # unanimity cannot freeze the iteration.
 STAPLE_CLAMP = 1e-6
+
+# Joint codes are built, counted and gathered this many voxels at a time, so
+# no temporary is box-sized: a whole-box bincount would cast every code to
+# intp, 8 bytes a voxel.
+_CODE_CHUNK = 1 << 14
 
 logger = logging.getLogger(__name__)
 
@@ -142,15 +157,6 @@ def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     return LabelVolume(winner, raters[0].spacing, raters[0].affine)
 
 
-def _fuse_regions(raters: list[LabelVolume], rule) -> LabelVolume:
-    """Fuse label volumes region by region: compose each rater's ET/TC/WT
-    masks, fuse each region's R masks with ``rule`` and recombine the three
-    results through the ET > TC > WT label priority."""
-    require_same_geometry(*raters)
-    per_rater = [compose_regions(r) for r in raters]
-    return decompose_regions(*(rule(list(masks)) for masks in zip(*per_rater)))
-
-
 def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     """Fuse label volumes by the per-region mean of the raters' masks.
 
@@ -161,15 +167,15 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     """
     if not raters:
         raise EmptyInput("no raters to fuse")
+    require_same_geometry(*raters)
     needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
-
-    def keep_half(masks: list[RegionMask]) -> RegionMask:
+    kept = []
+    for masks in zip(*(compose_regions(r) for r in raters)):
         marked = np.zeros_like(masks[0].member, dtype=np.min_scalar_type(len(masks)))
         for mask in masks:
             np.add(marked, mask.member, out=marked)
-        return RegionMask(marked >= needed, masks[0].region, masks[0].spacing, masks[0].affine)
-
-    return _fuse_regions(raters, keep_half)
+        kept.append(RegionMask(marked >= needed, masks[0].region, masks[0].spacing, masks[0].affine))
+    return decompose_regions(*kept)
 
 
 def _logistic(v: float) -> float:
@@ -196,6 +202,62 @@ def _ordered_sum(terms: np.ndarray, axis: int = -1) -> np.ndarray:
     independent of rater order.
     """
     return np.sort(terms, axis=axis).sum(axis=axis)
+
+
+def _staple_em(patterns: np.ndarray, counts: np.ndarray, n_raters: int, n_voxels: int,
+               region: Region, cfg: StapleConfig):
+    """EM over a (pattern, count) table: bit j of a pattern is set when rater
+    j marks the voxel, ``patterns`` ascends, and ``counts`` (int64) sums to
+    ``n_voxels``.  Returns each pattern's foreground weight, the raters'
+    sensitivities and specificities, the log-likelihood trace and the last
+    mean weight change; stopping at ``max_iter`` is logged, naming ``region``."""
+    shifts = np.arange(n_raters, dtype=patterns.dtype)[:, None]
+    marks = (patterns[None, :] >> shifts) & 1 == 1  # (R, P)
+
+    prior = float(counts @ marks.sum(axis=0)) / (n_raters * n_voxels)
+    if not 0.0 < prior < 1.0:
+        raise DegenerateInput("every rater marks every voxel identically")
+    log_prior = np.log(prior)
+    log_not_prior = np.log1p(-prior)
+
+    lo, hi = STAPLE_CLAMP, 1.0 - STAPLE_CLAMP
+    sens = np.full(n_raters, hi)
+    spec = np.full(n_raters, hi)
+
+    weights = prior
+    trace: list[float] = []
+    delta = np.inf
+    for _ in range(cfg.max_iter):
+        # E-step, in log space: log a_p (foreground) vs log b_p (background)
+        log_a = log_prior + _ordered_sum(
+            np.where(marks, np.log(sens)[:, None], np.log1p(-sens)[:, None]), axis=0)
+        log_b = log_not_prior + _ordered_sum(
+            np.where(marks, np.log1p(-spec)[:, None], np.log(spec)[:, None]), axis=0)
+        new_weights = _expit(log_a - log_b)
+        trace.append(float(_ordered_sum(counts * np.logaddexp(log_a, log_b))))
+
+        # M-step; clamping is the constrained maximizer because the
+        # objective is concave in each rate separately.
+        fg_mass = counts * new_weights
+        bg_mass = counts * (1.0 - new_weights)
+        fg_total, bg_total = _ordered_sum(fg_mass), _ordered_sum(bg_mass)
+        if fg_total == 0.0 or bg_total == 0.0:
+            raise DegenerateInput(
+                f"STAPLE on {region.value}: every weight is exactly {int(bg_total == 0.0)}")
+        sens = np.clip(_ordered_sum(np.where(marks, fg_mass, 0.0)) / fg_total, lo, hi)
+        spec = np.clip(_ordered_sum(np.where(marks, 0.0, bg_mass)) / bg_total, lo, hi)
+
+        delta = float(_ordered_sum(counts * np.abs(new_weights - weights))) / n_voxels
+        weights = new_weights
+        if delta < cfg.tol:
+            break
+    if not delta < cfg.tol:
+        logger.warning(
+            "STAPLE on %s stopped at max_iter=%d without converging "
+            "(mean weight change %.3g, tol %.3g)",
+            region.value, cfg.max_iter, delta, cfg.tol,
+        )
+    return weights, sens, spec, trace, delta
 
 
 def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) -> StapleResult:
@@ -248,56 +310,10 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     counts = np.bincount(codes.ravel(order="K"), minlength=all_marked + 1)
     counts[0] += n_voxels - codes.size  # the voxels outside the box all have pattern 0
     patterns = np.flatnonzero(counts).astype(code_type)
-    counts = counts[patterns]
-    shifts = np.arange(n_raters, dtype=code_type)[:, None]
-    marks = (patterns[None, :] >> shifts) & 1 == 1  # (R, P)
-
-    prior = float(counts @ marks.sum(axis=0)) / (n_raters * n_voxels)
-    if not 0.0 < prior < 1.0:
-        raise DegenerateInput("every rater marks every voxel identically")
-    log_prior = np.log(prior)
-    log_not_prior = np.log1p(-prior)
-
-    lo, hi = STAPLE_CLAMP, 1.0 - STAPLE_CLAMP
-    sens = np.full(n_raters, hi)
-    spec = np.full(n_raters, hi)
-
-    weights = prior
-    trace: list[float] = []
-    delta = np.inf
-    for _ in range(cfg.max_iter):
-        # E-step, in log space: log a_p (foreground) vs log b_p (background)
-        log_a = log_prior + _ordered_sum(
-            np.where(marks, np.log(sens)[:, None], np.log1p(-sens)[:, None]), axis=0)
-        log_b = log_not_prior + _ordered_sum(
-            np.where(marks, np.log1p(-spec)[:, None], np.log(spec)[:, None]), axis=0)
-        new_weights = _expit(log_a - log_b)
-        trace.append(float(_ordered_sum(counts * np.logaddexp(log_a, log_b))))
-
-        # M-step; clamping is the constrained maximizer because the
-        # objective is concave in each rate separately.
-        fg_mass = counts * new_weights
-        bg_mass = counts * (1.0 - new_weights)
-        fg_total, bg_total = _ordered_sum(fg_mass), _ordered_sum(bg_mass)
-        if fg_total == 0.0 or bg_total == 0.0:
-            raise DegenerateInput(
-                f"STAPLE on {raters[0].region.value}: every weight is exactly {int(bg_total == 0.0)}")
-        sens = np.clip(_ordered_sum(np.where(marks, fg_mass, 0.0)) / fg_total, lo, hi)
-        spec = np.clip(_ordered_sum(np.where(marks, 0.0, bg_mass)) / bg_total, lo, hi)
-
-        delta = float(_ordered_sum(counts * np.abs(new_weights - weights))) / n_voxels
-        weights = new_weights
-        if delta < cfg.tol:
-            break
-    converged = delta < cfg.tol
-    if not converged:
-        logger.warning(
-            "STAPLE on %s stopped at max_iter=%d without converging "
-            "(mean weight change %.3g, tol %.3g)",
-            raters[0].region.value, cfg.max_iter, delta, cfg.tol,
-        )
-
     first = raters[0]
+    weights, sens, spec, trace, delta = _staple_em(
+        patterns, counts[patterns], n_raters, n_voxels, first.region, cfg)
+
     decision = np.zeros(all_marked + 1, dtype=bool)
     decision[patterns] = weights >= 0.5
     # outside the box is pattern 0, whose weight can be >= 0.5 too
@@ -310,28 +326,90 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
         iterations=len(trace),
         loglik_trace=tuple(trace),
         consensus=RegionMask(member, first.region, first.spacing, first.affine),
-        converged=converged,
+        converged=delta < cfg.tol,
         final_delta=delta,
     )
+
+
+def _chunks(operands: list[np.ndarray]) -> np.nditer:
+    """A walk over equal-shaped arrays, the last one written, in their
+    memory order, ``_CODE_CHUNK`` voxels at a time."""
+    return np.nditer(operands, flags=["external_loop", "buffered", "zerosize_ok"],
+                     op_flags=[["readonly"]] * (len(operands) - 1) + [["writeonly"]],
+                     buffersize=_CODE_CHUNK, order="K")
+
+
+def _joint_codes(inside: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's joint code over the raters' label arrays, and the int64
+    count of each code.  Rater j's label 0, 1, 2 or 4 fills bits 2j and
+    2j + 1 as 0, 1, 2 or 3."""
+    code_type = np.min_scalar_type(4 ** len(inside) - 1)
+    shifts = [code_type.type(2 * j) for j in range(len(inside))]
+    two = np.uint8(2)
+    codes = np.empty_like(inside[0], dtype=code_type)
+    counts = np.zeros(4 ** len(inside), dtype=np.int64)
+    with _chunks([*inside, codes]) as walk:
+        for *labels, code in walk:
+            code[...] = 0
+            for lab, shift in zip(labels, shifts):
+                code |= (lab - (lab >> two)).astype(code_type, copy=False) << shift
+            counts += np.bincount(code, minlength=counts.size)
+    return codes, counts
 
 
 def staple_regions(methods: list[LabelVolume], cfg: StapleConfig = StapleConfig()) -> LabelVolume:
     """Fuse label volumes by running binary STAPLE per evaluated region.
 
-    Regions all raters predict empty stay empty, and regions on which all
-    raters agree exactly are passed through (both are EM fixed points), so
-    STAPLE only runs where there is disagreement.  The three consensus
-    masks are recombined through the ET > TC > WT label priority.
+    Each voxel's joint code packs the R raters' labels, two bits a rater,
+    and is counted once, inside the raters' union box; the voxels outside it
+    add to code 0.  A region's (pattern, count) table sums the joint counts,
+    so its EM sees what :func:`staple_binary` sees on the region's masks and
+    decides bit for bit alike.  A region whose present patterns are all 0 or
+    all ones is passed through (every rater agrees; both are EM fixed
+    points), so STAPLE only runs where there is disagreement.  Each joint
+    code then takes one label by the ET > TC > WT priority, and one gather
+    writes the fused grid.  Codes fit in ``uint16``, so R > 8 raises
+    :class:`TooManyRaters`; the warning for a region that stops at
+    ``max_iter``, and a :class:`DegenerateInput`, name the region.
     """
-    if len(methods) < 2:
-        raise TooFewRaters(f"need >= 2 method predictions, got {len(methods)}")
+    n_raters = len(methods)
+    if n_raters < 2:
+        raise TooFewRaters(f"need >= 2 method predictions, got {n_raters}")
+    if n_raters > MAX_STAPLE_LABEL_RATERS:
+        raise TooManyRaters(
+            f"STAPLE fuses at most {MAX_STAPLE_LABEL_RATERS} label volumes, got {n_raters}")
+    require_same_geometry(*methods)
+    box = union_box([m.labels for m in methods])
+    codes, counts = _joint_codes([m.labels[box] for m in methods])
+    counts[0] += methods[0].labels.size - codes.size  # outside the box every rater says 0
 
-    def staple_or_agreed(masks: list[RegionMask]) -> RegionMask:
-        if all(np.array_equal(m.member, masks[0].member) for m in masks[1:]):
-            return masks[0]
-        return staple_binary(masks, cfg).consensus
+    present = np.flatnonzero(counts)
+    present_counts = counts[present]
+    shifts = np.arange(n_raters)[:, None]
+    two_bits = (present[None, :] >> 2 * shifts) & 3  # (R, P_joint): 0, 1, 2, 3 for 0, 1, 2, 4
+    all_marked = (1 << n_raters) - 1
+    chosen = []
+    for region, marked in zip(REGIONS, (two_bits == 3, two_bits & 1 == 1, two_bits != 0)):
+        region_codes = (marked << shifts).sum(axis=0)
+        region_counts = np.zeros(all_marked + 1, dtype=np.int64)
+        np.add.at(region_counts, region_codes, present_counts)
+        patterns = np.flatnonzero(region_counts)
+        decision = np.zeros(all_marked + 1, dtype=bool)
+        if np.isin(patterns, (0, all_marked)).all():  # every rater agrees
+            decision[patterns] = patterns != 0
+        else:
+            weights = _staple_em(patterns, region_counts[patterns], n_raters,
+                                 methods[0].labels.size, region, cfg)[0]
+            decision[patterns] = weights >= 0.5
+        chosen.append(decision[region_codes])
 
-    return _fuse_regions(methods, staple_or_agreed)
+    table = np.zeros(counts.size, dtype=np.uint8)
+    table[present] = np.select(chosen, [4, 1, 2])  # the first region chosen: ET > TC > WT
+    fused = np.full_like(methods[0].labels, table[0])
+    with _chunks([codes, fused[box]]) as walk:
+        for code, label in walk:
+            label[...] = table[code]
+    return LabelVolume(fused, methods[0].spacing, methods[0].affine)
 
 
 def ensemble_pipeline(

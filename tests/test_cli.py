@@ -483,6 +483,21 @@ class TestFuse:
         assert "2 method directories, got 1" in err and "case" not in err
         assert not out.exists()
 
+    def test_staple_over_nine_method_dirs_fails_before_creating_out(self, tmp_path, capsys):
+        # label STAPLE packs two bits a rater into a uint16 code, so 8 raters at most;
+        # nine readable directories were once fused
+        truth = nested_label_phantom(dims=(8, 8, 8), wt_radius=3, tc_radius=2, et_radius=1)
+        method_dirs = [tmp_path / f"m{i}" for i in range(9)]
+        for d in method_dirs:
+            d.mkdir()
+            write_labels(d / "c.nii.gz", truth)
+        out = tmp_path / "new"
+        assert main(["fuse", *map(str, method_dirs), "--method", "staple", "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("gbmseg: error:")
+        assert "at most 8 method directories, got 9" in err[0]
+        assert not out.exists()
+
     def test_truncated_gzip_input_is_data_error(self, phantom_dirs, tmp_path, capsys):
         method_dirs, _ = phantom_dirs
         victim = method_dirs[1] / "case_001.nii.gz"

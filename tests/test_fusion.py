@@ -448,6 +448,53 @@ class TestStapleRegions:
         with pytest.raises(TooFewRaters):
             staple_regions([nested_label_phantom()])
 
+    def test_nine_methods_are_too_many(self):
+        # two bits a rater: a joint code of 9 raters would not fit in uint16
+        phantom = nested_label_phantom(dims=(8, 8, 8), wt_radius=3, tc_radius=2, et_radius=1)
+        with pytest.raises(TooManyRaters, match="at most 8 label volumes, got 9"):
+            staple_regions([phantom] * 9)
+
+    def test_eight_methods_use_the_top_code_bits(self):
+        # Raters 0-6 label every voxel edema; rater 7 agrees but labels an ET
+        # ball, which it codes in bits 14-15.  Were those bits lost, WT would
+        # read as 7 raters marking every voxel and one marking none, which
+        # STAPLE weighs exactly 1 everywhere: DegenerateInput.
+        edema = np.full((6, 6, 6), 2, np.uint8)
+        last = edema.copy()
+        last[ball((6, 6, 6), 1.5)] = 4
+        raters = [LabelVolume(edema)] * 7 + [LabelVolume(last)]
+        cfg = StapleConfig()
+        fused = staple_regions(raters, cfg).labels
+        assert np.array_equal(fused, _staple_regions_full_grid(raters, cfg).labels)
+        assert (fused == 2).all()
+        # A code of raters 4-7 lost together fuses alike (four raters against
+        # four empty ones), so the count of the full code is checked too.
+        _, counts = fusion._joint_codes([r.labels for r in raters])
+        shared = sum(2 << 2 * j for j in range(7))  # label 2 is code 2
+        assert counts[shared | 3 << 14] == np.count_nonzero(last == 4)
+
+    def test_warns_for_each_unconverged_region(self, caplog):
+        # every method keeps the truth's ET, so only TC and WT disagree
+        rng = np.random.default_rng(13)
+        truth = nested_label_phantom(dims=(16, 16, 16), wt_radius=6, tc_radius=4, et_radius=2.5)
+        methods = []
+        for _ in range(3):
+            labels = noisy_rater_labels(truth, rng, miss=0.1, add=0.02).labels.copy()
+            labels[labels == 4] = 1
+            labels[truth.labels == 4] = 4
+            methods.append(LabelVolume(labels))
+        with caplog.at_level(logging.WARNING, logger="gbmseg.fusion"):
+            staple_regions(methods, StapleConfig(max_iter=1))
+        messages = [r.getMessage() for r in caplog.records]
+        assert [m.split()[2] for m in messages] == ["TC", "WT"]
+        assert all("max_iter=1 without converging" in m for m in messages)
+
+    def test_degenerate_region_is_named(self):
+        # 4 of 5 methods label both voxels edema: STAPLE weighs every WT voxel 1.0
+        methods = [LabelVolume(np.full((2, 1, 1), label, np.uint8)) for label in (2, 2, 2, 2, 0)]
+        with pytest.raises(DegenerateInput, match="STAPLE on WT: every weight is exactly 1"):
+            staple_regions(methods)
+
 
 def float_mean_fuse(raters: list[LabelVolume]) -> LabelVolume:
     """Reference mean fusion: float mean of the 0/1 region masks >= 0.5."""
@@ -585,12 +632,19 @@ class TestUnionBoxIsExact:
         _assert_staple_matches_full_grid(
             [mask(m) for m in members], StapleConfig(max_iter=max_iter, tol=1e-15))
 
-    @given(data=st.data(), n_raters=st.integers(min_value=2, max_value=6),
+    @given(data=st.data(), n_raters=st.integers(min_value=2, max_value=8),
            max_iter=st.integers(min_value=1, max_value=10))
     @settings(max_examples=200, deadline=None)
     def test_staple_regions(self, data, n_raters, max_iter):
-        raters = [LabelVolume(a) for a in data.draw(
-            boxed_stacks(n_raters, np.uint8, st.sampled_from(BRATS_LABELS)))]
+        stack = data.draw(boxed_stacks(n_raters, np.uint8, st.sampled_from(BRATS_LABELS)))
+        if data.draw(st.booleans()):  # a tumour voxel on a face of the grid
+            dims = stack[0].shape
+            at = [data.draw(st.integers(0, n - 1)) for n in dims]
+            axis = data.draw(st.integers(0, 2))
+            at[axis] = data.draw(st.sampled_from([0, dims[axis] - 1]))
+            rater = data.draw(st.integers(0, n_raters - 1))
+            stack[rater][tuple(at)] = data.draw(st.sampled_from(BRATS_LABELS[1:]))
+        raters = [LabelVolume(a) for a in stack]
         _assert_staple_regions_matches_full_grid(raters, StapleConfig(max_iter=max_iter, tol=1e-15))
 
     @given(data=st.data(), n_raters=st.integers(min_value=1, max_value=6))
@@ -661,7 +715,9 @@ def _peak_traced_bytes(fn, *args) -> int:
 
 class TestUnionBoxWorkIsBoxSized:
     """On a 96×96×62 Fortran-ordered case whose tumour box is under 3% of
-    the grid, voting and STAPLE allocate little beyond their outputs."""
+    the grid, voting and STAPLE allocate little beyond their outputs.  Where
+    the box is the whole grid, label STAPLE holds little beyond its joint
+    codes and its output."""
 
     @staticmethod
     def _raters() -> list[LabelVolume]:
@@ -683,6 +739,19 @@ class TestUnionBoxWorkIsBoxSized:
     def test_staple_binary_peak_under_two_bytes_a_voxel(self):
         masks = [compose_regions(r)[2] for r in self._raters()]
         assert _peak_traced_bytes(staple_binary, masks) < 2 * masks[0].member.size
+
+    def test_staple_regions_peak_under_two_bytes_a_voxel(self):
+        raters = self._raters()
+        assert _peak_traced_bytes(staple_regions, raters) < 2 * raters[0].labels.size
+
+    def test_staple_regions_on_the_whole_grid_peak_under_four_bytes_a_voxel(self):
+        # false positives everywhere; six raters take a uint16 joint code
+        rng = np.random.default_rng(32)
+        truth = nested_label_phantom(dims=(96, 96, 62), wt_radius=20, tc_radius=12, et_radius=6)
+        raters = [LabelVolume(np.asfortranarray(noisy_rater_labels(truth, rng, 0.05, 0.01).labels))
+                  for _ in range(6)]
+        assert union_box([r.labels for r in raters]) == tuple(slice(0, n) for n in truth.dims)
+        assert _peak_traced_bytes(staple_regions, raters) < 4 * raters[0].labels.size
 
 
 @pytest.mark.parametrize("rule", [majority_vote, mean_regions, staple_regions])
