@@ -27,8 +27,7 @@ from pathlib import Path
 
 from .errors import (GbmsegError, IoFailure, NoMatchedCases, TooFewRaters, TooManyRaters,
                      error_prefix)
-from .fusion import (MAX_STAPLE_LABEL_RATERS, StapleConfig, majority_vote, mean_regions,
-                     staple_regions)
+from .fusion import MAX_LABEL_RATERS, StapleConfig, majority_vote, mean_regions, staple_regions
 from .harness import (
     aggregate,
     build_report,
@@ -169,11 +168,11 @@ def _cmd_augment(args) -> None:
 def _cmd_fuse(args) -> None:
     method_dirs = [Path(d) for d in args.methods]
     out_dir = Path(args.out)
+    if len(method_dirs) > MAX_LABEL_RATERS:
+        raise TooManyRaters(f"fuse takes at most {MAX_LABEL_RATERS} method directories, "
+                            f"got {len(method_dirs)}")
     if args.method == "staple" and len(method_dirs) < 2:
         raise TooFewRaters(f"STAPLE needs >= 2 method directories, got {len(method_dirs)}")
-    if args.method == "staple" and len(method_dirs) > MAX_STAPLE_LABEL_RATERS:
-        raise TooManyRaters(f"STAPLE fuses at most {MAX_STAPLE_LABEL_RATERS} method directories, "
-                            f"got {len(method_dirs)}")
     cases = match_cases(method_dirs)
     if not cases:
         raise NoMatchedCases(f"no case present in all of {[str(d) for d in method_dirs]}")
@@ -263,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("fuse", help="fuse per-method label predictions case by case")
-    p.add_argument("methods", nargs="+", help="one directory of predictions per method")
+    p.add_argument("methods", nargs="+",
+                   help=f"one directory of predictions per method (at most {MAX_LABEL_RATERS})")
     p.add_argument("--method", choices=("mean", "vote", "staple"), default="staple")
     p.add_argument("--out", required=True, help="output directory for fused volumes")
     p.add_argument("--et-threshold", type=_positive(int, zero_ok=True),

@@ -106,7 +106,7 @@ class DegenerateInput(GbmsegError):
 
 
 class TooManyRaters(GbmsegError):
-    """STAPLE packs one decision bit per rater into a 16-bit pattern code."""
+    """Fusion packs one bit a mask, or two a label volume, into a 16-bit code."""
 
 
 # --- Dataset harness ---------------------------------------------------

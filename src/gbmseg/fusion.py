@@ -4,27 +4,25 @@ Four fusion routes are provided: voxel-wise probability averaging (used
 within one model's cross-validation folds), plain majority voting, the
 per-region mean of hard masks, and binary STAPLE — an
 expectation-maximization estimate of the latent true mask together with
-each rater's sensitivity/specificity.  Multi-label fusion runs the mean or
-STAPLE independently per evaluated region and recombines the consensus
-masks through the deterministic label priority.
+each rater's sensitivity/specificity.
 
-STAPLE counts the raters' decision patterns in a table indexed by code.
-Its E-step takes the logistic of one log-odds value per pattern, one at
-a time with the C library's ``exp``, bit for bit as ``scipy.special.expit``
-does but without loading SciPy.  Its result keeps one weight per pattern.
-STAPLE over label volumes packs each voxel's R labels into one joint code,
-two bits a rater (0, 1, 2, 4 become 0, 1, 2, 3), and counts the codes once:
-each region's pattern table is a sum of those counts, and the fused labels
-are one table over the codes.  A joint code is at most a ``uint16``, so this
-path takes R <= 8; voting and the mean take any R.
+Voting, the mean and STAPLE over label volumes share one design.  Each
+voxel's R labels pack into one joint code, two bits a rater (0, 1, 2, 4
+become 0, 1, 2, 3), and the codes are counted once.  The rule gives each
+present code one label (the mean and STAPLE decide each region, then take
+the ET > TC > WT label priority), and one gather over the codes writes the
+fused grid.  A joint code is at most a ``uint16``, so these rules take
+R <= 8.  Binary STAPLE packs one bit a rater alike, and its E-step takes
+the logistic of one log-odds value per pattern, one at a time with the C
+library's ``exp``, bit for bit as ``scipy.special.expit`` does but without
+loading SciPy.
 
-Voting and STAPLE work only inside the union box: the tightest box
-holding every voxel that some input marks nonzero.  Outside it every
-input says 0, so each rule's answer there is known without looking, and
-every output stays bit-identical to the full-grid computation.  The mean
-counts every voxel, as finding its box would cost as much as the count.
-Arrays over the raters' payload take its memory order (Fortran, as read
-from disk), so no pass over them, and no write of the fused volume, transposes.
+Codes are packed only inside the union box: the tightest box holding every
+voxel that some input marks nonzero.  Outside it every input says 0, so
+those voxels add to code 0 and take its answer, and every output stays
+bit-identical to the full-grid computation.  Arrays over the raters'
+payload take its memory order (Fortran, as read from disk), so no pass
+over them, and no write of the fused volume, transposes.
 """
 
 from __future__ import annotations
@@ -51,21 +49,24 @@ from .volume import (
     Region,
     RegionMask,
     binarize,
-    compose_regions,
     decompose_regions,
     require_same_geometry,
     union_box,
 )
 
 # A decision pattern takes one bit per rater and a joint label code two, and
-# each is at most a uint16: staple_binary fuses up to 16 masks and
-# staple_regions up to 8 label volumes (a table of 4^8 joint codes).
+# each is at most a uint16: staple_binary fuses up to 16 masks, and voting,
+# the mean and staple_regions up to 8 label volumes (a table of 4^8 codes).
 MAX_STAPLE_RATERS = 16
-MAX_STAPLE_LABEL_RATERS = MAX_STAPLE_RATERS // 2
+MAX_LABEL_RATERS = MAX_STAPLE_RATERS // 2
 # STAPLE keeps each rater's sensitivity and specificity inside
 # [STAPLE_CLAMP, 1 - STAPLE_CLAMP], so the E-step never takes log(0) and
 # unanimity cannot freeze the iteration.
 STAPLE_CLAMP = 1e-6
+
+# The labels of ET, TC and WT, for np.select: the first region chosen wins,
+# ET > TC > WT, as in decompose_regions.
+_PRIORITY = (4, 1, 2)
 
 # Joint codes are built, counted and gathered this many voxels at a time, so
 # no temporary is box-sized: a whole-box bincount would cast every code to
@@ -131,51 +132,6 @@ def average_probabilities(probs: list[ProbabilityVolume]) -> ProbabilityVolume:
     _require_same_region(probs)
     mean = np.mean([p.prob for p in probs], axis=0)
     return ProbabilityVolume(mean, probs[0].region, probs[0].spacing, probs[0].affine)
-
-
-def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
-    """Per-voxel plurality label; ties go to the smallest label value.
-
-    Only the union box is counted: outside it every rater says 0."""
-    if not raters:
-        raise EmptyInput("no raters to vote")
-    require_same_geometry(*raters)
-    box = union_box([r.labels for r in raters])
-    inside = [r.labels[box] for r in raters]
-    winner = np.zeros_like(raters[0].labels)
-    won = winner[box]
-    best = np.zeros_like(inside[0], dtype=np.min_scalar_type(len(raters)))
-    count = np.empty_like(best)
-    # BRATS_LABELS is ascending and a label must beat the best count so far,
-    # so ties resolve to the smallest label.
-    for label in BRATS_LABELS:
-        count.fill(0)
-        for labels in inside:
-            count += labels == label
-        np.copyto(won, label, where=count > best)
-        np.maximum(best, count, out=best)
-    return LabelVolume(winner, raters[0].spacing, raters[0].affine)
-
-
-def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
-    """Fuse label volumes by the per-region mean of the raters' masks.
-
-    A region keeps a voxel where k of the R raters mark it and 2·k >= R.
-    This equals thresholding the float mean of the 0/1 masks at 0.5,
-    because k/R is correctly rounded.  The three masks are recombined
-    through the ET > TC > WT label priority.
-    """
-    if not raters:
-        raise EmptyInput("no raters to fuse")
-    require_same_geometry(*raters)
-    needed = (len(raters) + 1) // 2  # smallest k with 2·k >= R
-    kept = []
-    for masks in zip(*(compose_regions(r) for r in raters)):
-        marked = np.zeros_like(masks[0].member, dtype=np.min_scalar_type(len(masks)))
-        for mask in masks:
-            np.add(marked, mask.member, out=marked)
-        kept.append(RegionMask(marked >= needed, masks[0].region, masks[0].spacing, masks[0].affine))
-    return decompose_regions(*kept)
 
 
 def _logistic(v: float) -> float:
@@ -279,9 +235,9 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     pattern (see :class:`StapleResult`), so EM runs over the P present
     patterns, every sum weighted by its voxel count: O(R·P) work and memory
     per iteration, P <= min(2^R, N).  Codes are packed only inside the
-    raters' union box and counted in a table indexed by code;
-    voxels outside the box have pattern 0, so they add to entry 0 and take
-    its decision.  N stays the whole grid, and EM sees the same (pattern,
+    raters' union box and counted, a chunk at a time, in a table indexed by
+    code; voxels outside the box have pattern 0, so they add to entry 0 and
+    take its decision.  N stays the whole grid, and EM sees the same (pattern,
     count) multiset as over every voxel: results are bit-identical.  Only
     the boolean consensus has the grid's size.  A grid with no voxels raises
     :class:`EmptyInput`.  Codes are at most 16 bits wide, so R > 16 raises
@@ -300,25 +256,19 @@ def staple_binary(raters: list[RegionMask], cfg: StapleConfig = StapleConfig()) 
     if n_voxels == 0:
         raise EmptyInput("STAPLE on a grid with no voxels")
 
-    all_marked = (1 << n_raters) - 1
-    code_type = np.min_scalar_type(all_marked)
     box = union_box([r.member for r in raters])
-    inside = [r.member[box] for r in raters]
-    codes = np.zeros_like(inside[0], dtype=code_type)
-    for j, member in enumerate(inside):
-        codes |= member.astype(code_type) << code_type.type(j)
-    counts = np.bincount(codes.ravel(order="K"), minlength=all_marked + 1)
+    codes, counts = _joint_codes([r.member[box] for r in raters], width=1)
     counts[0] += n_voxels - codes.size  # the voxels outside the box all have pattern 0
-    patterns = np.flatnonzero(counts).astype(code_type)
+    patterns = np.flatnonzero(counts).astype(codes.dtype)
     first = raters[0]
     weights, sens, spec, trace, delta = _staple_em(
         patterns, counts[patterns], n_raters, n_voxels, first.region, cfg)
 
-    decision = np.zeros(all_marked + 1, dtype=bool)
+    decision = np.zeros(counts.size, dtype=bool)
     decision[patterns] = weights >= 0.5
     # outside the box is pattern 0, whose weight can be >= 0.5 too
     member = np.full_like(first.member, decision[0])
-    member[box] = decision[codes]
+    _gather(decision, codes, member[box])
     return StapleResult(
         patterns=patterns,
         weights=weights,
@@ -339,77 +289,125 @@ def _chunks(operands: list[np.ndarray]) -> np.nditer:
                      buffersize=_CODE_CHUNK, order="K")
 
 
-def _joint_codes(inside: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """Each voxel's joint code over the raters' label arrays, and the int64
-    count of each code.  Rater j's label 0, 1, 2 or 4 fills bits 2j and
-    2j + 1 as 0, 1, 2 or 3."""
-    code_type = np.min_scalar_type(4 ** len(inside) - 1)
-    shifts = [code_type.type(2 * j) for j in range(len(inside))]
+def _joint_codes(inside: list[np.ndarray], width: int = 2) -> tuple[np.ndarray, np.ndarray]:
+    """Each voxel's joint code over the raters' arrays, and the int64 count
+    of each code.  Rater j's value v fills ``width`` bits from bit width·j as
+    v - (v >> 2): label 0, 1, 2 or 4 as 0, 1, 2 or 3, a mask bit as itself."""
+    code_type = np.min_scalar_type((1 << width * len(inside)) - 1)
+    shifts = [code_type.type(width * j) for j in range(len(inside))]
     two = np.uint8(2)
     codes = np.empty_like(inside[0], dtype=code_type)
-    counts = np.zeros(4 ** len(inside), dtype=np.int64)
+    counts = np.zeros(1 << width * len(inside), dtype=np.int64)
     with _chunks([*inside, codes]) as walk:
-        for *labels, code in walk:
+        for *values, code in walk:
             code[...] = 0
-            for lab, shift in zip(labels, shifts):
-                code |= (lab - (lab >> two)).astype(code_type, copy=False) << shift
+            for value, shift in zip(values, shifts):
+                code |= (value - (value >> two)).astype(code_type, copy=False) << shift
             counts += np.bincount(code, minlength=counts.size)
     return codes, counts
+
+
+def _gather(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
+    """``out[...] = table[codes]``, a chunk at a time, with no box-sized
+    temporary."""
+    with _chunks([codes, out]) as walk:
+        for code, value in walk:
+            value[...] = table[code]
+
+
+def _region_marks(two_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each rater's 2-bit label (0, 1, 2, 3 for 0, 1, 2, 4) lies in
+    ET, TC and WT, in ``REGIONS`` order."""
+    return two_bits == 3, two_bits & 1 == 1, two_bits != 0
+
+
+def _fuse_labels(raters: list[LabelVolume], label_of) -> LabelVolume:
+    """Fuse label volumes by a rule that gives each joint code one label:
+    ``label_of(two_bits, counts)`` gets the present codes as an (R, P) array
+    of 2-bit labels and their voxel counts.  R > 8 raises
+    :class:`TooManyRaters`."""
+    n_raters = len(raters)
+    if n_raters == 0:
+        raise EmptyInput("no label volumes to fuse")
+    if n_raters > MAX_LABEL_RATERS:
+        raise TooManyRaters(f"fusion takes at most {MAX_LABEL_RATERS} label volumes, got {n_raters}")
+    require_same_geometry(*raters)
+    first = raters[0]
+    box = union_box([r.labels for r in raters])
+    codes, counts = _joint_codes([r.labels[box] for r in raters])
+    counts[0] += first.labels.size - codes.size  # outside the box every rater says 0
+    present = np.flatnonzero(counts)
+    two_bits = (present[None, :] >> 2 * np.arange(n_raters)[:, None]) & 3
+    table = np.zeros(counts.size, dtype=np.uint8)
+    table[present] = label_of(two_bits, counts[present])
+    fused = np.full_like(first.labels, table[0])
+    _gather(table, codes, fused[box])
+    return LabelVolume(fused, first.spacing, first.affine)
+
+
+def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
+    """Per-voxel plurality label; ties go to the smallest label value."""
+
+    def plurality(two_bits, _counts):
+        votes = [np.count_nonzero(two_bits == v, axis=0) for v in range(4)]
+        # argmax takes the first of tied counts: the smallest label
+        return np.asarray(BRATS_LABELS, dtype=np.uint8)[np.argmax(votes, axis=0)]
+
+    return _fuse_labels(raters, plurality)
+
+
+def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
+    """Fuse label volumes by the per-region mean of the raters' masks.
+
+    A region keeps a voxel where k of the R raters mark it and 2·k >= R.
+    This equals thresholding the float mean of the 0/1 masks at 0.5,
+    because k/R is correctly rounded.  The three decisions are recombined
+    through the ET > TC > WT label priority.
+    """
+
+    def half_marked(two_bits, _counts):
+        needed = (len(two_bits) + 1) // 2  # smallest k with 2·k >= R
+        return np.select([m.sum(axis=0) >= needed for m in _region_marks(two_bits)], _PRIORITY)
+
+    return _fuse_labels(raters, half_marked)
 
 
 def staple_regions(methods: list[LabelVolume], cfg: StapleConfig = StapleConfig()) -> LabelVolume:
     """Fuse label volumes by running binary STAPLE per evaluated region.
 
-    Each voxel's joint code packs the R raters' labels, two bits a rater,
-    and is counted once, inside the raters' union box; the voxels outside it
-    add to code 0.  A region's (pattern, count) table sums the joint counts,
+    A region's (pattern, count) table sums the counts of the joint codes,
     so its EM sees what :func:`staple_binary` sees on the region's masks and
     decides bit for bit alike.  A region whose present patterns are all 0 or
     all ones is passed through (every rater agrees; both are EM fixed
     points), so STAPLE only runs where there is disagreement.  Each joint
-    code then takes one label by the ET > TC > WT priority, and one gather
-    writes the fused grid.  Codes fit in ``uint16``, so R > 8 raises
-    :class:`TooManyRaters`; the warning for a region that stops at
+    code then takes one label by the ET > TC > WT priority.  R < 2 raises
+    :class:`TooFewRaters`; the warning for a region that stops at
     ``max_iter``, and a :class:`DegenerateInput`, name the region.
     """
-    n_raters = len(methods)
-    if n_raters < 2:
-        raise TooFewRaters(f"need >= 2 method predictions, got {n_raters}")
-    if n_raters > MAX_STAPLE_LABEL_RATERS:
-        raise TooManyRaters(
-            f"STAPLE fuses at most {MAX_STAPLE_LABEL_RATERS} label volumes, got {n_raters}")
-    require_same_geometry(*methods)
-    box = union_box([m.labels for m in methods])
-    codes, counts = _joint_codes([m.labels[box] for m in methods])
-    counts[0] += methods[0].labels.size - codes.size  # outside the box every rater says 0
+    if len(methods) < 2:
+        raise TooFewRaters(f"need >= 2 method predictions, got {len(methods)}")
 
-    present = np.flatnonzero(counts)
-    present_counts = counts[present]
-    shifts = np.arange(n_raters)[:, None]
-    two_bits = (present[None, :] >> 2 * shifts) & 3  # (R, P_joint): 0, 1, 2, 3 for 0, 1, 2, 4
-    all_marked = (1 << n_raters) - 1
-    chosen = []
-    for region, marked in zip(REGIONS, (two_bits == 3, two_bits & 1 == 1, two_bits != 0)):
-        region_codes = (marked << shifts).sum(axis=0)
-        region_counts = np.zeros(all_marked + 1, dtype=np.int64)
-        np.add.at(region_counts, region_codes, present_counts)
-        patterns = np.flatnonzero(region_counts)
-        decision = np.zeros(all_marked + 1, dtype=bool)
-        if np.isin(patterns, (0, all_marked)).all():  # every rater agrees
-            decision[patterns] = patterns != 0
-        else:
-            weights = _staple_em(patterns, region_counts[patterns], n_raters,
-                                 methods[0].labels.size, region, cfg)[0]
-            decision[patterns] = weights >= 0.5
-        chosen.append(decision[region_codes])
+    def per_region(two_bits, counts):
+        n_raters = len(two_bits)
+        shifts = np.arange(n_raters)[:, None]
+        all_marked = (1 << n_raters) - 1
+        chosen = []
+        for region, marked in zip(REGIONS, _region_marks(two_bits)):
+            region_codes = (marked << shifts).sum(axis=0)
+            region_counts = np.zeros(all_marked + 1, dtype=np.int64)
+            np.add.at(region_counts, region_codes, counts)
+            patterns = np.flatnonzero(region_counts)
+            decision = np.zeros(all_marked + 1, dtype=bool)
+            if np.isin(patterns, (0, all_marked)).all():  # every rater agrees
+                decision[patterns] = patterns != 0
+            else:
+                weights = _staple_em(patterns, region_counts[patterns], n_raters,
+                                     int(counts.sum()), region, cfg)[0]
+                decision[patterns] = weights >= 0.5
+            chosen.append(decision[region_codes])
+        return np.select(chosen, _PRIORITY)
 
-    table = np.zeros(counts.size, dtype=np.uint8)
-    table[present] = np.select(chosen, [4, 1, 2])  # the first region chosen: ET > TC > WT
-    fused = np.full_like(methods[0].labels, table[0])
-    with _chunks([codes, fused[box]]) as walk:
-        for code, label in walk:
-            label[...] = table[code]
-    return LabelVolume(fused, methods[0].spacing, methods[0].affine)
+    return _fuse_labels(methods, per_region)
 
 
 def ensemble_pipeline(

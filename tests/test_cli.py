@@ -484,7 +484,7 @@ class TestFuse:
         assert not out.exists()
 
     def test_staple_over_nine_method_dirs_fails_before_creating_out(self, tmp_path, capsys):
-        # label STAPLE packs two bits a rater into a uint16 code, so 8 raters at most;
+        # every method packs two bits a rater into a uint16 code, so 8 raters at most;
         # nine readable directories were once fused
         truth = nested_label_phantom(dims=(8, 8, 8), wt_radius=3, tc_radius=2, et_radius=1)
         method_dirs = [tmp_path / f"m{i}" for i in range(9)]
@@ -492,11 +492,13 @@ class TestFuse:
             d.mkdir()
             write_labels(d / "c.nii.gz", truth)
         out = tmp_path / "new"
-        assert main(["fuse", *map(str, method_dirs), "--method", "staple", "--out", str(out)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("gbmseg: error:")
-        assert "at most 8 method directories, got 9" in err[0]
-        assert not out.exists()
+        for method in ("staple", "vote", "mean"):
+            assert main(["fuse", *map(str, method_dirs), "--method", method,
+                         "--out", str(out)]) == 2, method
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("gbmseg: error:")
+            assert "at most 8 method directories, got 9" in err[0]
+            assert not out.exists()
 
     def test_truncated_gzip_input_is_data_error(self, phantom_dirs, tmp_path, capsys):
         method_dirs, _ = phantom_dirs

@@ -131,13 +131,6 @@ class TestMajorityVote:
         with pytest.raises(EmptyInput):
             majority_vote([])
 
-    @pytest.mark.parametrize("n_raters", [255, 256, 257])
-    def test_unanimous_count_at_the_count_dtype_limit(self, n_raters):
-        # counts live in the smallest dtype that holds n_raters; a wrap
-        # would drop the unanimous label's count to a small number
-        raters = [self._vol([4, 1, 2])] * (n_raters - 1) + [self._vol([4, 0, 0])]
-        assert majority_vote(raters).labels.ravel().tolist() == [4, 1, 2]
-
 
 class TestStapleBinary:
     def test_unanimous_raters_reach_the_fixed_point(self):
@@ -451,8 +444,9 @@ class TestStapleRegions:
     def test_nine_methods_are_too_many(self):
         # two bits a rater: a joint code of 9 raters would not fit in uint16
         phantom = nested_label_phantom(dims=(8, 8, 8), wt_radius=3, tc_radius=2, et_radius=1)
-        with pytest.raises(TooManyRaters, match="at most 8 label volumes, got 9"):
-            staple_regions([phantom] * 9)
+        for rule in (majority_vote, mean_regions, staple_regions):
+            with pytest.raises(TooManyRaters, match="at most 8 label volumes, got 9"):
+                rule([phantom] * 9)
 
     def test_eight_methods_use_the_top_code_bits(self):
         # Raters 0-6 label every voxel edema; rater 7 agrees but labels an ET
@@ -472,6 +466,15 @@ class TestStapleRegions:
         _, counts = fusion._joint_codes([r.labels for r in raters])
         shared = sum(2 << 2 * j for j in range(7))  # label 2 is code 2
         assert counts[shared | 3 << 14] == np.count_nonzero(last == 4)
+        # Vote: raters 0-3 say 2 and raters 4-7 say 1, a tie that goes to 1;
+        # with rater 7 lost, 2 would win.  Mean: raters 0-2 and 7 say 4, so
+        # ET holds 4 of 8 marks; with rater 7 lost it would hold 3 and fuse 0.
+        tie = [LabelVolume(np.full((2, 2, 2), label, np.uint8)) for label in [2] * 4 + [1] * 4]
+        assert (majority_vote(tie).labels == 1).all()
+        assert np.array_equal(majority_vote(tie).labels, majority_vote_full_grid(tie))
+        half = [LabelVolume(np.full((2, 2, 2), label, np.uint8)) for label in [4] * 3 + [0] * 4 + [4]]
+        assert (mean_regions(half).labels == 4).all()
+        assert np.array_equal(mean_regions(half).labels, float_mean_fuse(half).labels)
 
     def test_warns_for_each_unconverged_region(self, caplog):
         # every method keeps the truth's ET, so only TC and WT disagree
@@ -647,7 +650,7 @@ class TestUnionBoxIsExact:
         raters = [LabelVolume(a) for a in stack]
         _assert_staple_regions_matches_full_grid(raters, StapleConfig(max_iter=max_iter, tol=1e-15))
 
-    @given(data=st.data(), n_raters=st.integers(min_value=1, max_value=6))
+    @given(data=st.data(), n_raters=st.integers(min_value=1, max_value=8))
     @settings(max_examples=200, deadline=None)
     def test_majority_vote_and_mean(self, data, n_raters):
         raters = [LabelVolume(a) for a in data.draw(
@@ -715,9 +718,9 @@ def _peak_traced_bytes(fn, *args) -> int:
 
 class TestUnionBoxWorkIsBoxSized:
     """On a 96×96×62 Fortran-ordered case whose tumour box is under 3% of
-    the grid, voting and STAPLE allocate little beyond their outputs.  Where
-    the box is the whole grid, label STAPLE holds little beyond its joint
-    codes and its output."""
+    the grid, voting, the mean and STAPLE allocate little beyond their
+    outputs.  Where the box is the whole grid, they hold little beyond
+    their codes and their output."""
 
     @staticmethod
     def _raters() -> list[LabelVolume]:
@@ -735,6 +738,7 @@ class TestUnionBoxWorkIsBoxSized:
     def test_majority_vote_peak_under_two_bytes_a_voxel(self):
         raters = self._raters()
         assert _peak_traced_bytes(majority_vote, raters) < 2 * raters[0].labels.size
+        assert _peak_traced_bytes(mean_regions, raters) < 2 * raters[0].labels.size
 
     def test_staple_binary_peak_under_two_bytes_a_voxel(self):
         masks = [compose_regions(r)[2] for r in self._raters()]
@@ -751,7 +755,10 @@ class TestUnionBoxWorkIsBoxSized:
         raters = [LabelVolume(np.asfortranarray(noisy_rater_labels(truth, rng, 0.05, 0.01).labels))
                   for _ in range(6)]
         assert union_box([r.labels for r in raters]) == tuple(slice(0, n) for n in truth.dims)
-        assert _peak_traced_bytes(staple_regions, raters) < 4 * raters[0].labels.size
+        for rule in (staple_regions, majority_vote, mean_regions):
+            assert _peak_traced_bytes(rule, raters) < 4 * raters[0].labels.size, rule.__name__
+        masks = [compose_regions(r)[2] for r in raters]
+        assert _peak_traced_bytes(staple_binary, masks) < 4 * masks[0].member.size
 
 
 @pytest.mark.parametrize("rule", [majority_vote, mean_regions, staple_regions])
