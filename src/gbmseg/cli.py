@@ -31,6 +31,7 @@ from .fusion import MAX_LABEL_RATERS, StapleConfig, majority_vote, mean_regions,
 from .harness import (
     aggregate,
     build_report,
+    each_case,
     evaluate_dataset,
     match_cases,
     rank_all,
@@ -179,17 +180,19 @@ def _cmd_fuse(args) -> None:
     staple_cfg = StapleConfig(max_iter=args.staple_max_iter, tol=args.staple_tol)
     inputs = [path for _, paths in cases for path in paths]
     with _output_plan(out_dir, [f"{c}.nii.gz" for c, _ in cases], inputs) as staging:
-        for case_id, paths in cases:
-            with error_prefix(f"case {case_id}"):
-                raters = [read_labels(path) for path in paths]
-                if args.method == "vote":
-                    fused = majority_vote(raters)
-                elif args.method == "mean":
-                    fused = mean_regions(raters)
-                else:
-                    fused = staple_regions(raters, staple_cfg)
-                fused = et_threshold_relabel(fused, args.et_threshold)
-                _write_labels(staging / f"{case_id}.nii.gz", fused)
+        def fuse_case(case_id: str, paths: list[Path]) -> None:
+            raters = [read_labels(path) for path in paths]
+            if args.method == "vote":
+                fused = majority_vote(raters)
+            elif args.method == "mean":
+                fused = mean_regions(raters)
+            else:
+                fused = staple_regions(raters, staple_cfg)
+            del raters  # the relabel and the write hold the fused volume alone
+            fused = et_threshold_relabel(fused, args.et_threshold)
+            _write_labels(staging / f"{case_id}.nii.gz", fused)
+
+        each_case(cases, fuse_case)
     print(f"fused {len(cases)} case(s) with method={args.method} to {out_dir}")
 
 

@@ -21,6 +21,12 @@ region columns per metric.  All outputs are deterministic functions of
 their inputs.
 Every file or directory here is opened under ``errors.error_prefix(<path>)``,
 and every JSON and text report is written by :func:`write_text`.
+
+One case loop, :func:`each_case`, runs the per-case work of ``fuse``
+(read, fuse, relabel, write) and ``evaluate`` (read both, score), in
+case-id order and under the prefix ``case <id>``.  Each case's volumes
+live only inside its work, so a command holds one case in memory at a
+time.
 """
 
 from __future__ import annotations
@@ -213,17 +219,28 @@ def read_labels(path) -> LabelVolume:
         return LabelVolume.from_grid(grid)
 
 
+def each_case(cases, work) -> list:
+    """``work(case_id, *paths)`` for each ``(case_id, *paths)`` of ``cases``,
+    in their order, under ``error_prefix(f"case {case_id}")``; returns the
+    results in that order.  A case's volumes are locals of ``work``, so
+    they are freed before the next case is read."""
+    results = []
+    for case_id, *paths in cases:
+        with error_prefix(f"case {case_id}"):
+            results.append(work(case_id, *paths))
+    return results
+
+
+def _evaluate_pair(case_id: str, pred_path, gt_path) -> CaseMetrics:
+    return evaluate_case(read_labels(pred_path), read_labels(gt_path), case_id=case_id)
+
+
 def evaluate_dataset(pred_dir, gt_dir, manifest=None) -> list[CaseMetrics]:
     """Evaluate every matched prediction/ground-truth pair in two trees."""
     pairs = pair_cases(pred_dir, gt_dir, manifest)
     if not pairs:
         raise NoMatchedCases(f"no case pairs between {pred_dir} and {gt_dir}")
-    results = []
-    for case_id, pred_path, gt_path in pairs:
-        with error_prefix(f"case {case_id}"):
-            pred, gt = read_labels(pred_path), read_labels(gt_path)
-            results.append(evaluate_case(pred, gt, case_id=case_id))
-    return results
+    return each_case(pairs, _evaluate_pair)
 
 
 def aggregate(cases: list[CaseMetrics]) -> AggregateReport:

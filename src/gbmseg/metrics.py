@@ -28,6 +28,12 @@ Conventions:
   distance map over the box: about 16 bytes per box voxel at peak.
   Every route takes the distance with the same float arithmetic, so they
   give bit-identical values.
+* ``evaluate_case`` crops once, to the union box of the two label
+  volumes, and composes and scores its six region masks there, so it
+  builds no full-grid mask.  The crop is exact: outside that box both
+  volumes are 0, so each Dice count is the full grid's, and each region's
+  own box lies inside it.  ``hd95`` keeps its own crop to that region box,
+  for direct callers and for regions smaller than the case.
 * Only that feature transform needs SciPy, and ``_surface_distances``
   imports ``scipy.ndimage`` when it first runs it.  Importing this module
   (as the CLI does for every command) loads none of SciPy; ``gbmseg
@@ -301,10 +307,14 @@ def soft_dice_ce(p: ProbabilityVolume, y: RegionMask, form: str = "literal") -> 
 
 
 def evaluate_case(pred: LabelVolume, gt: LabelVolume, case_id: str = "") -> CaseMetrics:
-    """Per-region DSC and HD95 of a predicted label volume against truth."""
+    """Per-region DSC and HD95 of a predicted label volume against truth,
+    scored on the union box of the two label volumes (see the module
+    docstring)."""
     require_same_geometry(pred, gt)
-    pred_masks = compose_regions(pred)
-    gt_masks = compose_regions(gt)
+    box = union_box([pred.labels, gt.labels])
+    # the crops keep the grid's affine: no score reads it, and both share it
+    pred_masks = compose_regions(LabelVolume(pred.labels[box], pred.spacing, pred.affine))
+    gt_masks = compose_regions(LabelVolume(gt.labels[box], gt.spacing, gt.affine))
     values: dict[str, float] = {}
     for pm, gm, region in zip(pred_masks, gt_masks, (r.value.lower() for r in Region)):
         values[f"dsc_{region}"] = dice(pm, gm)

@@ -6,6 +6,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -705,6 +706,61 @@ class TestFuse:
             assert main(["fuse", *map(str, method_dirs), "--out", str(out)]) == 0
         for name in ("case_000.nii.gz", "case_001.nii.gz"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+class TestOneCaseInMemory:
+    """``fuse`` and ``evaluate`` hold one case at a time: over three copies
+    of one case, each peaks less than one ``uint8`` label volume's bytes
+    above its run over one copy.  The predictions are int64, as a label
+    map saved straight from ``np.argmax`` is, so reading one is a case's
+    costliest step, and a volume still held from the case before would
+    add to it."""
+
+    DIMS = (64, 64, 48)
+
+    @pytest.fixture(scope="class")
+    def trees(self, tmp_path_factory) -> dict[int, Path]:
+        truth = nested_label_phantom(self.DIMS, wt_radius=12, tc_radius=8, et_radius=4)
+        rng = np.random.default_rng(37)
+        predictions = []
+        for _ in range(3):
+            grid = noisy_rater_labels(truth, rng, miss=0.05, add=0.0).to_grid()
+            predictions.append(VoxelGrid(grid.values.astype(np.int64), grid.spacing, grid.affine))
+        trees = {}
+        for n_cases in (1, 3):
+            root = tmp_path_factory.mktemp(f"cases{n_cases}")
+            for case in range(n_cases):
+                for method, grid in enumerate(predictions):
+                    (root / f"m{method}").mkdir(exist_ok=True)
+                    write_volume(root / f"m{method}" / f"c{case}.nii.gz",
+                                 NiftiHeader.for_grid(grid, 1024), grid)
+                (root / "gt").mkdir(exist_ok=True)
+                write_labels(root / "gt" / f"c{case}.nii.gz", truth)
+            trees[n_cases] = root
+        return trees
+
+    @staticmethod
+    def _peak(argv: list[str]) -> int:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("command", ["staple", "vote", "mean", "evaluate"])
+    def test_three_cases_peak_as_one(self, trees, tmp_path, capsys, command):
+        def argv(root: Path, out: str) -> list[str]:
+            if command == "evaluate":
+                return ["evaluate", "--pred", str(root / "m0"), "--gt", str(root / "gt"),
+                        "--out", str(tmp_path / out)]
+            return ["fuse", *(str(root / f"m{i}") for i in range(3)), "--method", command,
+                    "--out", str(tmp_path / out)]
+
+        assert main(argv(trees[1], "warm")) == 0  # a first run may allocate lasting caches
+        one = self._peak(argv(trees[1], "one"))
+        three = self._peak(argv(trees[3], "three"))
+        assert three - one < np.prod(self.DIMS)
 
 
 class TestEvaluateAndReport:

@@ -21,10 +21,11 @@ from gbmseg.metrics import (
     soft_dice_ce,
     surface_voxels,
 )
-from gbmseg.volume import LabelVolume, ProbabilityVolume, Region, RegionMask
+from gbmseg.volume import (LabelVolume, ProbabilityVolume, Region, RegionMask, compose_regions,
+                           union_box)
 
 from oracles import hd95_full_grid, hd_percentiles_bruteforce, surface_oracle
-from phantoms import ball
+from phantoms import ball, nested_label_phantom
 
 def mask(values, region=Region.WT, spacing=(1.0, 1.0, 1.0)):
     return RegionMask(np.asarray(values, dtype=bool), region, spacing)
@@ -65,6 +66,52 @@ def placed_mask_pairs(draw):
         return mask(member, spacing=spacing)
 
     return placed(), placed()
+
+
+@st.composite
+def placed_label_pairs(draw):
+    """A prediction and a truth label volume of one grid, each empty or a
+    small random label patch placed anywhere, optionally pushed against one
+    of the six grid faces with a tumour voxel on it; anisotropic spacing,
+    C or Fortran order."""
+    dims = tuple(draw(st.integers(3, 14)) for _ in range(3))
+    spacing = tuple(draw(st.sampled_from([0.4, 0.9375, 1.0, 1.5, 2.7])) for _ in range(3))
+
+    def placed():
+        labels = np.zeros(dims, np.uint8)
+        if draw(st.booleans()):
+            shape = tuple(draw(st.integers(1, min(6, d))) for d in dims)
+            patch = draw(arrays(np.uint8, shape, elements=st.sampled_from([0, 1, 2, 4])))
+            offset = [draw(st.integers(0, d - s)) for d, s in zip(dims, shape)]
+            face = draw(st.sampled_from([None, 0, 1, 2, 3, 4, 5]))
+            if face is not None:
+                axis, high = divmod(face, 2)
+                offset[axis] = dims[axis] - shape[axis] if high else 0
+                edge = [slice(None)] * 3
+                edge[axis] = -1 if high else 0
+                patch[tuple(edge)].flat[0] = draw(st.sampled_from([1, 2, 4]))
+            labels[tuple(slice(o, o + s) for o, s in zip(offset, shape))] = patch
+        if draw(st.booleans()):
+            labels = np.asfortranarray(labels)
+        return LabelVolume(labels, spacing)
+
+    return placed(), placed()
+
+
+def _label_pair(pred, gt):
+    spacing = (0.9375, 1.0, 1.5)
+    return LabelVolume(np.asarray(pred, np.uint8), spacing), LabelVolume(np.asarray(gt, np.uint8), spacing)
+
+
+def _evaluate_case_full_grid(pred: LabelVolume, gt: LabelVolume) -> CaseMetrics:
+    """``evaluate_case`` on the whole grids: region masks of the full grid,
+    ``dice``, and the frozen full-grid HD95."""
+    values = {}
+    for pm, gm in zip(compose_regions(pred), compose_regions(gt)):
+        region = pm.region.value.lower()
+        values[f"dsc_{region}"] = dice(pm, gm)
+        values[f"hd95_{region}"] = hd95_full_grid(pm, gm)
+    return CaseMetrics(case_id="c", **values)
 
 
 def _dense_noise_and_ball():
@@ -470,6 +517,52 @@ class TestEvaluateCase:
         assert metrics.dsc_et == pytest.approx(50.0)
         assert metrics.dsc_tc == pytest.approx(100.0 * 6 / 7)
         assert metrics.dsc_wt == pytest.approx(100.0 * 6 / 7)
+
+    @given(placed_label_pairs())
+    @example(_label_pair(np.zeros((5, 4, 3)), np.zeros((5, 4, 3))))
+    @example(_label_pair(np.zeros((5, 4, 3)), np.pad([[[4, 1], [2, 2]]], ((0, 4), (2, 0), (1, 0)))))
+    @example(_label_pair(np.pad([[[1]], [[4]]], ((3, 0), (0, 3), (2, 2))), np.zeros((5, 4, 5))))
+    @settings(max_examples=300, deadline=None)
+    def test_union_box_crop_is_exact(self, pair):
+        # empty predictions, empty truths and both empty come up drawn too
+        pred, gt = pair
+        expected = repr(_evaluate_case_full_grid(pred, gt))
+        assert repr(evaluate_case(pred, gt, case_id="c")) == expected
+
+    def test_both_empty_scores_on_the_empty_box(self, monkeypatch):
+        boxes = []
+
+        def recorded(arrays):
+            boxes.append(union_box(arrays))
+            return boxes[-1]
+
+        monkeypatch.setattr(metrics, "union_box", recorded)
+        pred, gt = _label_pair(np.zeros((5, 4, 3)), np.zeros((5, 4, 3)))
+        assert evaluate_case(pred, gt) == CaseMetrics("", 100.0, 100.0, 100.0, 0.0, 0.0, 0.0)
+        assert boxes == [(slice(0, 0),) * 3]
+
+    def test_local_tumour_peak_under_1_5_bytes_a_voxel(self):
+        # The union box is under 5% of a 64x64x48 Fortran-ordered grid.  Six
+        # full-grid region masks, with their temporaries, cost about 7 bytes
+        # a voxel; the union box scan alone costs 1.  The two tumours lie
+        # within HD95's cube search of each other, so no all-pairs block
+        # (under 1 MB, whatever the grid) is allocated.
+        volumes = []
+        for radii in ((7, 4, 2), (6, 4.5, 2.5)):
+            grid = np.zeros((64, 64, 48), np.uint8, order="F")
+            grid[40:56, 8:24, 30:46] = nested_label_phantom((16, 16, 16), *radii).labels
+            volumes.append(LabelVolume(grid, (0.9375, 1.0, 1.5)))
+        pred, gt = volumes
+        box = union_box([pred.labels, gt.labels])
+        assert np.prod([s.stop - s.start for s in box]) < 0.05 * pred.labels.size
+        evaluate_case(pred, gt)  # a first call may allocate lasting caches
+        tracemalloc.start()
+        try:
+            evaluate_case(pred, gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * pred.labels.size
 
     def test_region_accessors(self):
         m = CaseMetrics("x", 1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
