@@ -9,13 +9,14 @@ each rater's sensitivity/specificity.
 Voting, the mean and STAPLE over label volumes share one design.  Each
 voxel's R labels pack into one joint code, two bits a rater (0, 1, 2, 4
 become 0, 1, 2, 3), and the codes are counted once.  The rule gives each
-present code one label (the mean and STAPLE decide each region, then take
-the ET > TC > WT label priority), and one gather over the codes writes the
-fused grid.  A joint code is at most a ``uint16``, so these rules take
-R <= 8.  Binary STAPLE packs one bit a rater alike, and its E-step takes
-the logistic of one log-odds value per pattern, one at a time with the C
-library's ``exp``, bit for bit as ``scipy.special.expit`` does but without
-loading SciPy.
+present code, decoded to its R labels, one label (the mean and STAPLE
+decide each region by ``volume.region_members`` and recombine by
+``volume.priority_labels``), and one gather writes the fused grid.  A
+joint code is at most a ``uint16``, so these rules take R <= 8.  Binary
+STAPLE packs one bit a rater alike, and its E-step takes the logistic of
+one log-odds value per pattern, one at a time with the C library's
+``exp``, bit for bit as ``scipy.special.expit`` does but without loading
+SciPy.
 
 Codes are packed only inside the union box: the tightest box holding every
 voxel that some input marks nonzero.  Outside it every input says 0, so
@@ -50,6 +51,8 @@ from .volume import (
     RegionMask,
     binarize,
     decompose_regions,
+    priority_labels,
+    region_members,
     require_same_geometry,
     union_box,
 )
@@ -64,9 +67,7 @@ MAX_LABEL_RATERS = MAX_STAPLE_RATERS // 2
 # unanimity cannot freeze the iteration.
 STAPLE_CLAMP = 1e-6
 
-# The labels of ET, TC and WT, for np.select: the first region chosen wins,
-# ET > TC > WT, as in decompose_regions.
-_PRIORITY = (4, 1, 2)
+_LABEL_OF_BITS = np.array(BRATS_LABELS, dtype=np.uint8)  # indexed by a rater's 2-bit code
 
 # Joint codes are built, counted and gathered this many voxels at a time, so
 # no temporary is box-sized: a whole-box bincount would cast every code to
@@ -315,16 +316,10 @@ def _gather(table: np.ndarray, codes: np.ndarray, out: np.ndarray) -> None:
             value[...] = table[code]
 
 
-def _region_marks(two_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Whether each rater's 2-bit label (0, 1, 2, 3 for 0, 1, 2, 4) lies in
-    ET, TC and WT, in ``REGIONS`` order."""
-    return two_bits == 3, two_bits & 1 == 1, two_bits != 0
-
-
 def _fuse_labels(raters: list[LabelVolume], label_of) -> LabelVolume:
     """Fuse label volumes by a rule that gives each joint code one label:
-    ``label_of(two_bits, counts)`` gets the present codes as an (R, P) array
-    of 2-bit labels and their voxel counts.  R > 8 raises
+    ``label_of(labels, counts)`` gets the present codes as an (R, P) array
+    of BraTS labels and their voxel counts.  R > 8 raises
     :class:`TooManyRaters`."""
     n_raters = len(raters)
     if n_raters == 0:
@@ -339,7 +334,7 @@ def _fuse_labels(raters: list[LabelVolume], label_of) -> LabelVolume:
     present = np.flatnonzero(counts)
     two_bits = (present[None, :] >> 2 * np.arange(n_raters)[:, None]) & 3
     table = np.zeros(counts.size, dtype=np.uint8)
-    table[present] = label_of(two_bits, counts[present])
+    table[present] = label_of(_LABEL_OF_BITS[two_bits], counts[present])
     fused = np.full_like(first.labels, table[0])
     _gather(table, codes, fused[box])
     return LabelVolume(fused, first.spacing, first.affine)
@@ -348,10 +343,10 @@ def _fuse_labels(raters: list[LabelVolume], label_of) -> LabelVolume:
 def majority_vote(raters: list[LabelVolume]) -> LabelVolume:
     """Per-voxel plurality label; ties go to the smallest label value."""
 
-    def plurality(two_bits, _counts):
-        votes = [np.count_nonzero(two_bits == v, axis=0) for v in range(4)]
+    def plurality(labels, _counts):
+        votes = [np.count_nonzero(labels == v, axis=0) for v in BRATS_LABELS]
         # argmax takes the first of tied counts: the smallest label
-        return np.asarray(BRATS_LABELS, dtype=np.uint8)[np.argmax(votes, axis=0)]
+        return _LABEL_OF_BITS[np.argmax(votes, axis=0)]
 
     return _fuse_labels(raters, plurality)
 
@@ -365,9 +360,9 @@ def mean_regions(raters: list[LabelVolume]) -> LabelVolume:
     through the ET > TC > WT label priority.
     """
 
-    def half_marked(two_bits, _counts):
-        needed = (len(two_bits) + 1) // 2  # smallest k with 2·k >= R
-        return np.select([m.sum(axis=0) >= needed for m in _region_marks(two_bits)], _PRIORITY)
+    def half_marked(labels, _counts):
+        needed = (len(labels) + 1) // 2  # smallest k with 2·k >= R
+        return priority_labels(*(m.sum(axis=0) >= needed for m in region_members(labels)))
 
     return _fuse_labels(raters, half_marked)
 
@@ -387,12 +382,12 @@ def staple_regions(methods: list[LabelVolume], cfg: StapleConfig = StapleConfig(
     if len(methods) < 2:
         raise TooFewRaters(f"need >= 2 method predictions, got {len(methods)}")
 
-    def per_region(two_bits, counts):
-        n_raters = len(two_bits)
+    def per_region(labels, counts):
+        n_raters = len(labels)
         shifts = np.arange(n_raters)[:, None]
         all_marked = (1 << n_raters) - 1
         chosen = []
-        for region, marked in zip(REGIONS, _region_marks(two_bits)):
+        for region, marked in zip(REGIONS, region_members(labels)):
             region_codes = (marked << shifts).sum(axis=0)
             region_counts = np.zeros(all_marked + 1, dtype=np.int64)
             np.add.at(region_counts, region_codes, counts)
@@ -405,7 +400,7 @@ def staple_regions(methods: list[LabelVolume], cfg: StapleConfig = StapleConfig(
                                      int(counts.sum()), region, cfg)[0]
                 decision[patterns] = weights >= 0.5
             chosen.append(decision[region_codes])
-        return np.select(chosen, _PRIORITY)
+        return priority_labels(*chosen)
 
     return _fuse_labels(methods, per_region)
 

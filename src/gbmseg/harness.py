@@ -134,6 +134,8 @@ def match_cases(directories) -> list[tuple[str, list[Path]]]:
 
     Returns (case_id, [one path per directory]) pairs sorted by case_id.
     """
+    if not directories:
+        raise EmptyInput("no case directories to match")
     per_dir = [case_files(d) for d in directories]
     exact = set.intersection(*(set(files) for files in per_dir))
     matches = {stem: [files[stem] for files in per_dir] for stem in exact}

@@ -8,6 +8,8 @@ Fortran order — the first axis varies fastest — matching the on-disk
 NIfTI data layout.
 
 Value types are frozen dataclasses; treat the wrapped arrays as immutable.
+The region rule is written once, here: :func:`region_members` maps BraTS
+labels to ET/TC/WT and :func:`priority_labels` maps them back, ET > TC > WT.
 """
 
 from __future__ import annotations
@@ -193,42 +195,42 @@ def union_box(arrays: list[np.ndarray]) -> tuple[slice, slice, slice]:
     return tuple(box)
 
 
-def compose_regions(labels: LabelVolume) -> tuple[RegionMask, RegionMask, RegionMask]:
-    """Build the nested ET/TC/WT masks from a label volume.
+def region_members(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Whether each BraTS label of an array of any shape lies in ET, TC
+    and WT, in ``REGIONS`` order: ET is label 4, TC is labels 1 and 4, WT
+    is labels 1, 2 and 4, so ET ⊆ TC ⊆ WT."""
+    et = labels == 4
+    tc = et | (labels == 1)
+    wt = tc | (labels == 2)
+    return et, tc, wt
 
-    ET is label 4, TC is labels 1 and 4, WT is labels 1, 2 and 4, so the
-    returned masks always satisfy ET ⊆ TC ⊆ WT.
-    """
-    lab = labels.labels
-    et = lab == 4
-    tc = et | (lab == 1)
-    wt = tc | (lab == 2)
-    geo = (labels.spacing, labels.affine)
-    return (
-        RegionMask(et, Region.ET, *geo),
-        RegionMask(tc, Region.TC, *geo),
-        RegionMask(wt, Region.WT, *geo),
-    )
+
+def priority_labels(et: np.ndarray, tc: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """``uint8`` BraTS labels of ET/TC/WT memberships, nested or not, by
+    priority: 4 inside ET, else 1 inside TC, else 2 inside WT, else 0, in
+    ``wt``'s shape and memory order."""
+    lab = np.zeros_like(wt, dtype=np.uint8)
+    lab[wt] = 2
+    lab[tc] = 1
+    lab[et] = 4  # assigned last, so the priority holds
+    return lab
+
+
+def compose_regions(labels: LabelVolume) -> tuple[RegionMask, RegionMask, RegionMask]:
+    """The ET/TC/WT masks of a label volume, by :func:`region_members`."""
+    return tuple(RegionMask(member, region, labels.spacing, labels.affine)
+                 for member, region in zip(region_members(labels.labels), REGIONS))
 
 
 def decompose_regions(et: RegionMask, tc: RegionMask, wt: RegionMask) -> LabelVolume:
-    """Map ET/TC/WT masks back to BraTS labels.
-
-    Priority order ET > TC > WT: a voxel inside ET gets label 4, else
-    inside TC label 1, else inside WT label 2, else 0.  The priority also
-    resolves inconsistent (non-nested) inputs deterministically.
-    """
+    """Map ET/TC/WT masks back to BraTS labels by :func:`priority_labels`."""
     for mask, expected in zip((et, tc, wt), REGIONS):
         if mask.region is not expected:
             raise RegionMismatch(
                 f"expected {expected.value} mask, got {mask.region.value}"
             )
     require_same_geometry(et, tc, wt)
-    lab = np.zeros_like(wt.member, dtype=np.uint8)
-    lab[wt.member] = 2
-    lab[tc.member] = 1
-    lab[et.member] = 4  # assigned last, so the priority holds
-    return LabelVolume(lab, et.spacing, et.affine)
+    return LabelVolume(priority_labels(et.member, tc.member, wt.member), et.spacing, et.affine)
 
 
 def binarize(prob: ProbabilityVolume) -> RegionMask:

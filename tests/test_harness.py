@@ -321,6 +321,11 @@ def _expected_ids(layout) -> list[str]:
     return sorted(exact | once)
 
 
+def test_match_cases_of_no_directory_is_empty_input():
+    with pytest.raises(EmptyInput, match="no case directories"):
+        match_cases([])
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.lists(st.lists(_stems, max_size=8, unique=True), min_size=1, max_size=3))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from gbmseg import volume
 from gbmseg.errors import BadLabel, GeometryMismatch, RegionMismatch
@@ -22,6 +22,8 @@ from gbmseg.volume import (
     count_label,
     decompose_regions,
     geometry_difference,
+    priority_labels,
+    region_members,
     require_same_geometry,
     union_box,
 )
@@ -68,6 +70,49 @@ label_arrays = arrays(
     st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
     elements=st.sampled_from([0, 1, 2, 4]),
 )
+
+
+_shapes = array_shapes(min_dims=1, max_dims=3, max_side=5)
+
+
+@st.composite
+def ordered_labels(draw):
+    """BraTS labels in an array of 1 to 3 dimensions, in C or F order."""
+    base = draw(arrays(np.uint8, _shapes, elements=st.sampled_from(BRATS_LABELS)))
+    return np.array(base, order=draw(st.sampled_from("CF")))
+
+
+def _same_layout(a, b) -> bool:
+    return (a.flags.c_contiguous, a.flags.f_contiguous) == (b.flags.c_contiguous, b.flags.f_contiguous)
+
+
+class TestRegionRule:
+    @given(ordered_labels())
+    @settings(max_examples=200)
+    def test_priority_labels_inverts_region_members(self, labels):
+        out = priority_labels(*region_members(labels))
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, labels)
+        assert _same_layout(out, labels)
+
+    @given(st.data(), _shapes, st.sampled_from("CF"))
+    @settings(max_examples=200)
+    def test_priority_labels_matches_a_voxel_loop(self, data, shape, order):
+        et, tc, wt = (np.array(data.draw(arrays(bool, shape)), order=order) for _ in range(3))
+        expected = np.zeros(shape, dtype=np.uint8)
+        for index in np.ndindex(shape):
+            expected[index] = 4 if et[index] else 1 if tc[index] else 2 if wt[index] else 0
+        out = priority_labels(et, tc, wt)
+        assert np.array_equal(out, expected)
+        assert _same_layout(out, wt)
+
+    def test_decompose_keeps_fortran_order(self):
+        labels = np.asfortranarray(np.resize(np.array(BRATS_LABELS, np.uint8), (3, 4, 5)))
+        masks = compose_regions(LabelVolume(labels))
+        assert all(m.member.flags.f_contiguous and not m.member.flags.c_contiguous for m in masks)
+        out = decompose_regions(*masks).labels
+        assert out.flags.f_contiguous and not out.flags.c_contiguous
+        assert np.array_equal(out, labels)
 
 
 class TestComposeRegions:
